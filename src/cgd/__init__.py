@@ -1,204 +1,89 @@
-"""Causal graph dynamics over canonical port graphs."""
+"""Causal graph dynamics over canonical port graphs.
+
+The top level exports what the README and the demos use, the types
+those calls return, and the base errors a caller catches.  Everything
+else is imported from its submodule: ``cgd.graph``, ``cgd.rules``,
+``cgd.codec``, ``cgd.corpus``, ``cgd.library``, ``cgd.machine``,
+``cgd.render`` and ``cgd.cli``.
+"""
 
 from .graph import (
-    EPSILON,
     CayleyGraph,
-    Consistency,
-    DisconnectedInput,
     Disk,
     DyadicDistance,
     GraphError,
-    InconsistentUnion,
-    NameSetOverlap,
-    NoSuchPath,
-    PortConflict,
-    PortGraph,
-    RawNameUnprefixable,
     canonicalize,
-    check_path_conditions,
-    consistent,
     disk,
-    disk_around,
     distance,
-    eccentricity,
-    glue_all,
-    inverse_word,
-    prefix,
     shift,
-    union,
-    walk,
 )
 from .rules import (
-    ImageTooLarge,
-    InvalidImageName,
     LocalRule,
-    MissingEpsilon,
-    PartialRuleHole,
     RuleError,
-    RuleParams,
     ValidationReport,
-    WrongRadius,
     apply_rule,
-    check_continuity,
-    continuity_modulus,
     iterate,
-    make_local_rule,
     orbit,
-    step_glued,
     validate_local_rule,
 )
 from .codec import (
-    BadIndex,
-    BudgetExceeded,
-    DanglingBacktrack,
     GraphCode,
-    NamingConstraintViolated,
     ParseError,
-    PortReuse,
     RuleDescription,
     decode_graph,
-    decode_rule,
     encode_graph,
     encode_rule,
-    enumerate_canonical_graphs,
     enumerate_disks,
-    image_space_size,
-    parse_tokens,
-    rank_image,
-    read_code,
-    read_rule,
-    render_tokens,
-    unrank_image,
     write_code,
-    write_rule,
 )
-from .corpus import (
-    cycle_graph,
-    divergent_pair,
-    grid_graph,
-    path_graph,
-    random_graph,
-    random_port_graph,
-    sample_graph,
-)
-from .library import (
-    RULE_REGISTRY,
-    identity_rule,
-    inflating_grid_rule,
-    xor_label_rule,
-)
+from .corpus import cycle_graph, grid_graph
+from .library import inflating_grid_rule
 from .machine import (
-    MachineBudgetExceeded,
     MachineWorld,
-    MalformedWorld,
-    MixedRuleDescriptions,
-    ParamMismatch,
-    SimLabel,
     SimulationReport,
     build_machine_world,
     check_intrinsic_simulation,
     finished_graph,
     label_with,
-    machine_step,
-    run_machine,
     trace,
     universal_rule,
 )
-from .render import summary_line, to_dot
+from .render import to_dot
 
 __all__ = [
-    "EPSILON",
     "CayleyGraph",
-    "Consistency",
-    "DisconnectedInput",
     "Disk",
     "DyadicDistance",
     "GraphError",
-    "InconsistentUnion",
-    "NameSetOverlap",
-    "NoSuchPath",
-    "PortConflict",
-    "PortGraph",
-    "RawNameUnprefixable",
     "canonicalize",
-    "check_path_conditions",
-    "consistent",
     "disk",
-    "disk_around",
     "distance",
-    "eccentricity",
-    "glue_all",
-    "inverse_word",
-    "prefix",
     "shift",
-    "union",
-    "walk",
-    "ImageTooLarge",
-    "InvalidImageName",
     "LocalRule",
-    "MissingEpsilon",
-    "PartialRuleHole",
     "RuleError",
-    "RuleParams",
     "ValidationReport",
-    "WrongRadius",
     "apply_rule",
-    "check_continuity",
-    "continuity_modulus",
     "iterate",
-    "make_local_rule",
     "orbit",
-    "step_glued",
     "validate_local_rule",
-    "BadIndex",
-    "BudgetExceeded",
-    "DanglingBacktrack",
     "GraphCode",
-    "NamingConstraintViolated",
     "ParseError",
-    "PortReuse",
     "RuleDescription",
     "decode_graph",
-    "decode_rule",
     "encode_graph",
     "encode_rule",
-    "enumerate_canonical_graphs",
     "enumerate_disks",
-    "image_space_size",
-    "parse_tokens",
-    "rank_image",
-    "read_code",
-    "read_rule",
-    "render_tokens",
-    "unrank_image",
     "write_code",
-    "write_rule",
     "cycle_graph",
-    "divergent_pair",
     "grid_graph",
-    "path_graph",
-    "random_graph",
-    "random_port_graph",
-    "sample_graph",
-    "RULE_REGISTRY",
-    "identity_rule",
     "inflating_grid_rule",
-    "xor_label_rule",
-    "MachineBudgetExceeded",
     "MachineWorld",
-    "MalformedWorld",
-    "MixedRuleDescriptions",
-    "ParamMismatch",
-    "SimLabel",
     "SimulationReport",
     "build_machine_world",
     "check_intrinsic_simulation",
     "finished_graph",
     "label_with",
-    "machine_step",
-    "run_machine",
     "trace",
     "universal_rule",
-    "summary_line",
     "to_dot",
 ]

@@ -26,7 +26,7 @@ from .codec import (
 )
 from .corpus import cycle_graph, grid_graph, path_graph, sample_graph
 from .graph import CayleyGraph, GraphError
-from .library import identity_rule, inflating_grid_rule, xor_label_rule
+from .library import RULE_REGISTRY
 from .machine import (
     MachineBudgetExceeded,
     MalformedWorld,
@@ -50,8 +50,6 @@ FIXTURES = {
     "path-5": lambda: path_graph(5),
 }
 
-LIBRARY_RULES = ("identity", "xor", "inflating-grid")
-
 
 class CliError(Exception):
     pass
@@ -71,17 +69,18 @@ def load_graph(source: str):
 
 
 def load_rule(source: str, *, degree=None, labels=None, budget=10_000):
-    """A rule plus its description; library names size themselves to the graph."""
-    if source == "identity":
-        return identity_rule(degree or 2, labels or (0, 1)), None
-    if source == "xor":
-        return xor_label_rule(degree or 2), None
-    if source == "inflating-grid":
-        return inflating_grid_rule(), None
+    """A rule plus its description; library names size themselves to the graph.
+
+    Library rules come without a description (None); a rule file's is
+    the one it was decoded from.
+    """
+    build = RULE_REGISTRY.get(source)
+    if build is not None:
+        return build(degree or 2, labels or (0, 1)), None
     path = Path(source)
     if not path.exists():
         raise CliError(f"{source!r} is neither a library rule "
-                       f"({', '.join(LIBRARY_RULES)}) nor a file")
+                       f"({', '.join(RULE_REGISTRY)}) nor a file")
     desc = read_rule(path.read_text())
     return decode_rule(desc, budget=budget), desc
 
@@ -119,13 +118,38 @@ def cmd_decode(args, out):
     return 0
 
 
-def cmd_run(args, out):
+def _graph_and_rule(args, *, describe=False, description=None):
+    """The graph and rule of --graph and --rule, the rule sized to the graph.
+
+    A ``description`` rule file sizes the rule instead and stands for it.
+    With ``describe``, a rule without a description is encoded into one.
+    """
     x = load_graph(args.graph)
-    f, _ = load_rule(args.rule, degree=x.degree, labels=_graph_labels(x),
-                     budget=args.budget_enum)
+    degree, labels, override = x.degree, _graph_labels(x), None
+    if description:
+        override = read_rule(Path(description).read_text())
+        degree, labels = override.params.port_count, override.params.labels
+    f, desc = load_rule(args.rule, degree=degree, labels=labels, budget=args.budget_enum)
     if f.params.port_count != x.degree:
         raise CliError(f"rule works on {f.params.port_count}-port graphs, "
                        f"graph has {x.degree}")
+    if override is not None:
+        desc = override
+    if describe and desc is None:
+        desc = encode_rule(f, budget=args.budget_enum)
+    return x, f, desc
+
+
+def _build_on_machine(x, desc, budget):
+    """x stamped with desc as the construction machine builds it, and the step count."""
+    for world in trace(build_machine_world(
+            encode_graph(x, alphabet=_graph_labels(x)), desc), budget=budget):
+        pass
+    return finished_graph(world), world.steps
+
+
+def cmd_run(args, out):
+    x, f, _ = _graph_and_rule(args)
     for step, g in enumerate(orbit(f, x, args.steps)):
         emit(g, args.format, out, step)
     return 0
@@ -147,28 +171,11 @@ def cmd_validate_rule(args, out):
 
 
 def cmd_simulate(args, out):
-    x = load_graph(args.graph)
-    override = read_rule(Path(args.description).read_text()) if args.description else None
-    degree = override.params.port_count if override else x.degree
-    labels = override.params.labels if override else _graph_labels(x)
-    f, desc = load_rule(args.rule, degree=degree, labels=labels,
-                        budget=args.budget_enum)
-    if f.params.port_count != x.degree:
-        raise CliError(f"rule works on {f.params.port_count}-port graphs, "
-                       f"graph has {x.degree}")
-    if override is not None:
-        desc = override
-    if desc is None:
-        desc = encode_rule(f, budget=args.budget_enum)
+    x, f, desc = _graph_and_rule(args, describe=True, description=args.description)
     start = None
     if args.via_machine:
-        world = None
-        for world in trace(build_machine_world(
-                encode_graph(x, alphabet=_graph_labels(x)), desc),
-                budget=args.budget_machine):
-            pass
-        start = finished_graph(world)
-        out.write(f"machine built the stamped world in {world.steps} steps\n")
+        start, steps = _build_on_machine(x, desc, args.budget_machine)
+        out.write(f"machine built the stamped world in {steps} steps\n")
     rep = check_intrinsic_simulation(f, x, args.steps, desc=desc, start=start)
     for k, nv, ne in rep.history:
         mark = " <- diverges" if rep.first_divergence == k else ""
@@ -182,18 +189,9 @@ def cmd_simulate(args, out):
 
 
 def cmd_machine_run(args, out):
-    x = load_graph(args.graph)
-    f, desc = load_rule(args.rule, degree=x.degree, labels=_graph_labels(x),
-                        budget=args.budget_enum)
-    if desc is None:
-        desc = encode_rule(f, budget=args.budget_enum)
-    world = None
-    for world in trace(build_machine_world(
-            encode_graph(x, alphabet=_graph_labels(x)), desc),
-            budget=args.budget_machine):
-        pass
-    built = finished_graph(world)
-    out.write(f"machine halted after {world.steps} steps\n")
+    x, _, desc = _graph_and_rule(args, describe=True)
+    built, steps = _build_on_machine(x, desc, args.budget_machine)
+    out.write(f"machine halted after {steps} steps\n")
     emit(built, args.format, out)
     return 0
 
@@ -217,7 +215,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="cgd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, rule=False, graph=False, steps=False, fmt=False):
+    def common(sp, *, rule=False, graph=False, steps=False, fmt=False, machine=False):
         if rule:
             sp.add_argument("--rule", required=True,
                             help="library rule name or rule file")
@@ -229,8 +227,8 @@ def build_parser():
         if fmt:
             sp.add_argument("--format", choices=("dot", "code", "summary"),
                             default="summary")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget-machine", type=int, default=1_000_000)
+        if machine:
+            sp.add_argument("--budget-machine", type=int, default=1_000_000)
         sp.add_argument("--budget-enum", type=int, default=10_000)
 
     sp = sub.add_parser("encode", help="print the code of a graph")
@@ -252,11 +250,12 @@ def build_parser():
     sp.add_argument("--labels", type=_labels_csv, default=None)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--exhaustive", action="store_true")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_validate_rule)
 
     sp = sub.add_parser("simulate",
                         help="check the universal rule tracks this one, zero delay")
-    common(sp, rule=True, graph=True, steps=True)
+    common(sp, rule=True, graph=True, steps=True, machine=True)
     sp.add_argument("--description", default=None,
                     help="rule file overriding the encoded description")
     sp.add_argument("--via-machine", action="store_true",
@@ -265,25 +264,23 @@ def build_parser():
 
     sp = sub.add_parser("machine-run",
                         help="build a stamped copy of the graph with the machine")
-    common(sp, rule=True, graph=True, fmt=True)
+    common(sp, rule=True, graph=True, fmt=True, machine=True)
     sp.set_defaults(fn=cmd_machine_run)
 
     sp = sub.add_parser("enumerate-disks", help="list every disk, one code per line")
     sp.add_argument("--ports", type=int, required=True)
     sp.add_argument("--labels", type=_labels_csv, default=None)
     sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget-enum", type=int, default=10_000)
+    common(sp)
     sp.set_defaults(fn=cmd_enumerate_disks)
 
     return p
 
 
 def _render_error(e) -> str:
-    if isinstance(e, PartialRuleHole) and getattr(e, "disk_", None) is not None:
-        dk = e.disk_
-        code = encode_graph(dk.graph, alphabet=_graph_labels(dk.graph))
-        return f"{e} (offending disk: {code.text})"
+    if isinstance(e, PartialRuleHole) and e.disk is not None:
+        g = _unstamped(e.disk.graph)
+        return f"{e} (offending disk: {encode_graph(g, alphabet=_graph_labels(g)).text})"
     return str(e)
 
 
@@ -292,8 +289,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args, sys.stdout)
     except (CliError, ParseError, GraphError, RuleError, ParamMismatch,
-            MalformedWorld, MachineBudgetExceeded, BudgetExceeded,
-            PartialRuleHole, OSError) as e:
+            MalformedWorld, MachineBudgetExceeded, BudgetExceeded, OSError) as e:
         print(f"error: {_render_error(e)}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ from .graph import (
     canonicalize,
     name_key,
 )
+from .library import RULE_REGISTRY
 from .rules import (
     ImageTooLarge,
     LocalRule,
@@ -634,10 +635,6 @@ class RuleDescription:
             return NotImplemented
         return self.digest() == other.digest()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return int(self.digest()[:16], 16)
 
@@ -671,16 +668,22 @@ def encode_rule(f: LocalRule, budget=10_000) -> RuleDescription:
     return RuleDescription(p, entries=entries, catalog_hash=digest)
 
 
-def decode_rule(desc: RuleDescription, registry=None, budget=10_000) -> LocalRule:
-    """Rebuild a working rule from its description."""
+def decode_rule(desc: RuleDescription, budget=10_000) -> LocalRule:
+    """Rebuild a working rule from its description.
+
+    A keyed description is built by its ``RULE_REGISTRY`` entry, which
+    must produce exactly the described params.
+    """
     p = desc.params
     if desc.registry_key is not None:
-        if registry is None:
-            from .library import RULE_REGISTRY as registry
-        factory = registry.get(desc.registry_key)
-        if factory is None:
+        build = RULE_REGISTRY.get(desc.registry_key)
+        if build is None:
             raise RuleError(f"no registered rule named {desc.registry_key!r}")
-        return factory(p)
+        rule = build(p.port_count, p.labels)
+        if rule.params != p:
+            raise RuleError(f"description params {p} do not match "
+                            f"the registered rule's {rule.params}")
+        return rule
     disks, digest = _disk_catalog(p.port_count, p.labels, p.radius, budget)
     if desc.catalog_hash is not None and desc.catalog_hash != digest:
         raise RuleError("description was made against a different disk catalog")

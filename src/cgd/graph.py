@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 
 Word = tuple
@@ -55,10 +56,6 @@ class NoSuchPath(GraphError):
 
 
 class InconsistentUnion(GraphError):
-    pass
-
-
-class RawNameUnprefixable(GraphError):
     pass
 
 
@@ -131,7 +128,7 @@ class PortGraph:
         if self._ports is None:
             pm = {}
             for e in self.edges:
-                (u, i), (v, j) = tuple(e) if len(e) == 2 else (tuple(e)[0], tuple(e)[0])
+                (u, i), (v, j) = e
                 pm[(u, i)] = (v, j)
                 pm[(v, j)] = (u, i)
             self._ports = pm
@@ -142,10 +139,6 @@ class PortGraph:
             return NotImplemented
         return (self.degree == other.degree and self.vertices == other.vertices
                 and self.edges == other.edges and self._labels == other._labels)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         if self._hash is None:
@@ -290,6 +283,7 @@ def disk(x: CayleyGraph, r: int) -> Disk:
     return disk_around(x, EPSILON, r)
 
 
+@total_ordering
 class DyadicDistance:
     """Distance 0 or 1/2^radius between two pointed graphs."""
 
@@ -321,15 +315,6 @@ class DyadicDistance:
 
     def __lt__(self, other):
         return self.value < self._coerce(other)
-
-    def __le__(self, other):
-        return self.value <= self._coerce(other)
-
-    def __gt__(self, other):
-        return self.value > self._coerce(other)
-
-    def __ge__(self, other):
-        return self.value >= self._coerce(other)
 
     def __hash__(self):
         return hash(self.value)
@@ -368,7 +353,7 @@ class _Merge:
 
     Name-set vertices are identified when their sets intersect; other
     vertices are identified when their names are equal.  Used by
-    ``consistent``, ``union`` and ``glue_all``.
+    ``consistent`` and ``glue_all``.
     """
 
     def __init__(self):
@@ -473,22 +458,12 @@ def consistent(g: PortGraph, h: PortGraph) -> Consistency:
     return m.check([g, h])
 
 
-def union(g: PortGraph, h: PortGraph) -> PortGraph:
-    """Merge two consistent graphs, gluing shared vertices.
+def glue_all(parts) -> PortGraph:
+    """Merge consistent graphs, gluing shared vertices; order does not matter.
 
     Merged vertices carry the union of their name sets; this is what
     makes per-vertex rule images reassemble into one graph.
     """
-    m = _Merge()
-    m.add_graphs([g, h])
-    verdict = m.check([g, h])
-    if not verdict.ok:
-        raise InconsistentUnion(verdict.witness)
-    return m.merged_graph([g, h], g.degree)
-
-
-def glue_all(parts) -> PortGraph:
-    """Union of many graphs at once; the result does not depend on the order."""
     parts = list(parts)
     if not parts:
         raise GraphError("nothing to glue")
@@ -501,18 +476,6 @@ def glue_all(parts) -> PortGraph:
     if not verdict.ok:
         raise InconsistentUnion(verdict.witness)
     return m.merged_graph(parts, degree)
-
-
-def prefix(word: Word, g: PortGraph) -> PortGraph:
-    """Prepend ``word`` to every name element of a name-set graph."""
-    mapping = {}
-    for v in g.vertices:
-        if not isinstance(v, frozenset):
-            raise RawNameUnprefixable(f"vertex {v!r} is not a name set")
-        mapping[v] = frozenset((tuple(word) + w, z) for (w, z) in v)
-    edges = [frozenset(((mapping[u], i), (mapping[v], j))) for (u, i), (v, j) in map(tuple, g.edges)]
-    return PortGraph(g.degree, mapping.values(), edges,
-                     {mapping[v]: g.label(v) for v in g.vertices})
 
 
 def check_path_conditions(x: CayleyGraph, max_len: int) -> list:

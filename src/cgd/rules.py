@@ -161,10 +161,6 @@ class LocalRule:
         return f"<LocalRule {kind} r={self.params.radius} b={self.params.bound}>"
 
 
-def make_local_rule(params: RuleParams, table) -> LocalRule:
-    return LocalRule(params, table=table)
-
-
 def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
     """Image of u's disk with names rewritten into x's coordinates.
 
@@ -267,9 +263,10 @@ def validate_local_rule(f: LocalRule, *, exhaustive=None, samples=1000,
     probed inside ambient disks of radius 3r + 2 (beyond that range the
     images cannot share names).  Image size bounds are checked on the
     way.  With ``exhaustive=True`` every ambient disk is enumerated
-    (within ``budget``); otherwise ``samples`` random ambients are
-    drawn.  Not a proof in sampled mode, but wrong rules rarely survive
-    it.
+    (within ``budget``, else BudgetExceeded); with ``exhaustive=False``
+    ``samples`` random ambients are drawn; ``None`` tries the first and
+    falls back to the second past the budget.  Not a proof in sampled
+    mode, but wrong rules rarely survive it.
     """
     from .codec import BudgetExceeded, enumerate_disks
 
@@ -278,20 +275,17 @@ def validate_local_rule(f: LocalRule, *, exhaustive=None, samples=1000,
     witnesses = []
     bound_ok = True
     checked = 0
-    if exhaustive is None:
+    ambients = None
+    if exhaustive or exhaustive is None:
         try:
-            ambients = [(d.graph, True) for d in
-                        enumerate_disks(p.port_count, p.labels, r + 1, budget=budget)]
-            ambients += [(d.graph, False) for d in
-                         enumerate_disks(p.port_count, p.labels, 3 * r + 2, budget=budget)]
-            exhaustive = True
+            ambients = [(d.graph, near)
+                        for near, radius in ((True, r + 1), (False, 3 * r + 2))
+                        for d in enumerate_disks(p.port_count, p.labels, radius,
+                                                 budget=budget)]
         except BudgetExceeded:
-            exhaustive = False
-    elif exhaustive:
-        ambients = [(d.graph, True) for d in
-                    enumerate_disks(p.port_count, p.labels, r + 1, budget=budget)]
-        ambients += [(d.graph, False) for d in
-                     enumerate_disks(p.port_count, p.labels, 3 * r + 2, budget=budget)]
+            if exhaustive:
+                raise
+    exhaustive = ambients is not None
     if not exhaustive:
         from .corpus import random_graph
 

@@ -1,7 +1,7 @@
-import pytest
+import argparse
 
-from cgd.cli import main
-from cgd.codec import encode_rule, write_rule
+from cgd.cli import build_parser, main
+from cgd.codec import RuleDescription, encode_rule, write_rule
 from cgd.graph import PortGraph
 from cgd.library import identity_rule
 from cgd.rules import LocalRule
@@ -171,3 +171,38 @@ def test_degree_mismatch_is_reported(capsys):
     code, _, err = run_cli("run", "--rule", "inflating-grid", "--graph", "fig4",
                            "--steps", "1", capsys=capsys)
     assert code != 0 and "port" in err
+
+
+def test_a_hole_prints_the_offending_disk(tmp_path, capsys):
+    full = encode_rule(identity_rule(2, (0,)))
+    holes = RuleDescription(full.params, entries=[None] * len(full.entries),
+                            catalog_hash=full.catalog_hash)
+    f = tmp_path / "holes.rule"
+    f.write_text(write_rule(holes))
+    code, _, err = run_cli("run", "--rule", str(f), "--graph", "cycle-6", capsys=capsys)
+    assert code == 2
+    assert "no image for the disk at ()" in err
+    assert "offending disk: $" in err
+
+
+# every flag each subcommand's cmd_* function reads, and no other
+FLAGS = {
+    "encode": set(),
+    "decode": {"--format"},
+    "run": {"--rule", "--graph", "--steps", "--format", "--budget-enum"},
+    "validate-rule": {"--rule", "--ports", "--labels", "--samples", "--exhaustive",
+                      "--seed", "--budget-enum"},
+    "simulate": {"--rule", "--graph", "--steps", "--description", "--via-machine",
+                 "--budget-machine", "--budget-enum"},
+    "machine-run": {"--rule", "--graph", "--format", "--budget-machine", "--budget-enum"},
+    "enumerate-disks": {"--ports", "--labels", "--radius", "--budget-enum"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FLAGS)
+    for name, sp in sub.choices.items():
+        flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == FLAGS[name], name

@@ -26,7 +26,6 @@ from cgd.graph import (
     NoSuchPath,
     PortConflict,
     PortGraph,
-    RawNameUnprefixable,
     canonicalize,
     check_path_conditions,
     consistent,
@@ -37,9 +36,7 @@ from cgd.graph import (
     glue_all,
     inverse_word,
     name_key,
-    prefix,
     shift,
-    union,
     walk,
 )
 
@@ -339,7 +336,7 @@ def test_consistent_overlap_and_union():
     h = _g(2, [], {u1b: 1})
     verdict = consistent(g, h)
     assert verdict.ok and verdict.nonempty
-    merged = union(g, h)
+    merged = glue_all([g, h])
     big = u1 | u1b
     assert merged.vertices == {u0, big}
     assert merged.label(big) == 1
@@ -359,7 +356,7 @@ def test_union_rejects_label_clash():
     h = _g(2, [], {shared: 1})
     assert not consistent(g, h).ok
     with pytest.raises(InconsistentUnion):
-        union(g, h)
+        glue_all([g, h])
 
 
 def test_union_rejects_port_double_booking():
@@ -368,14 +365,14 @@ def test_union_rejects_port_double_booking():
     h = _g(2, [((a, 1), (c, 1))], {a: 0, c: 0})
     assert not consistent(g, h).ok
     with pytest.raises(InconsistentUnion):
-        union(g, h)
+        glue_all([g, h])
 
 
 def test_union_accepts_shared_edge():
     a, b = _ns(((), 0)), _ns((((1, 1),), 0))
     g = _g(2, [((a, 1), (b, 1))], {a: 0, b: 0})
     h = _g(2, [((a, 1), (b, 1))], {a: 0, b: 0})
-    assert union(g, h) == g
+    assert glue_all([g, h]) == g
 
 
 def test_glue_all_transitive_conflict():
@@ -401,17 +398,6 @@ def test_glue_all_order_independent():
         random.Random(seed).shuffle(shuffled)
         assert glue_all(shuffled) == ref
     assert len(ref.vertices) == 1
-
-
-def test_prefix_prepends_to_every_element():
-    u = _ns(((), 0), (((2, 2),), 1))
-    g = _g(2, [((u, 1), (u, 2))], {u: 4})
-    shifted = prefix(((1, 1),), g)
-    v = _ns((((1, 1),), 0), (((1, 1), (2, 2)), 1))
-    assert shifted.vertices == {v}
-    assert shifted.label(v) == 4
-    with pytest.raises(RawNameUnprefixable):
-        prefix(((1, 1),), _g(2, [], {"raw": 0}))
 
 
 # --- path language sanity ----------------------------------------------------

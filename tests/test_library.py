@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from cgd.cli import main
+from cgd.codec import RuleDescription, decode_rule
 from cgd.corpus import cycle_graph, grid_graph, path_graph, random_graph, sample_graph
 from cgd.graph import CayleyGraph, EPSILON, PortGraph, canonicalize, walk
 from cgd.library import RULE_REGISTRY, identity_rule, inflating_grid_rule, xor_label_rule
-from cgd.rules import RuleError, apply_rule, iterate
+from cgd.rules import RuleError, RuleParams, apply_rule, iterate
 
 
 def test_identity_is_a_fixed_point_map():
@@ -117,8 +119,25 @@ def test_registry_rebuilds_each_rule():
     for key, rule in [("identity", identity_rule(2, (0, 1))),
                       ("xor", xor_label_rule()),
                       ("inflating-grid", inflating_grid_rule())]:
-        again = RULE_REGISTRY[key](rule.params)
+        again = decode_rule(RuleDescription(rule.params, registry_key=key))
         assert again.params == rule.params
         assert again.registry_key == key
     with pytest.raises(RuleError):
-        RULE_REGISTRY["xor"](identity_rule(2, (0, 1)).params)
+        decode_rule(RuleDescription(identity_rule(2, (0, 1)).params, registry_key="xor"))
+
+
+def test_registry_is_the_one_list_of_rule_names(monkeypatch, capsys):
+    built = []
+
+    def build(port_count, labels):
+        built.append((port_count, labels))
+        return identity_rule(port_count, labels)
+
+    monkeypatch.setitem(RULE_REGISTRY, "copy", build)
+    assert main(["run", "--rule", "copy", "--graph", "cycle-6", "--steps", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "step 1: |V|=6 |E|=6"
+    params = RuleParams(3, (0, 1), radius=1, bound=4)
+    assert decode_rule(RuleDescription(params, registry_key="copy")).params == params
+    assert built == [(2, (0,)), (3, (0, 1))]
+    assert main(["run", "--rule", "no-such-rule", "--graph", "cycle-6"]) == 2
+    assert "identity, xor, inflating-grid, copy" in capsys.readouterr().err

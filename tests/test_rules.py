@@ -1,5 +1,6 @@
 import pytest
 
+from cgd.codec import BudgetExceeded
 from cgd.corpus import cycle_graph, divergent_pair, grid_graph, random_graph, sample_graph
 from cgd.graph import (
     EPSILON,
@@ -146,6 +147,19 @@ def test_validation_passes_good_rules():
     assert bool(report)
     report = validate_local_rule(identity_rule(2, (0, 1)), samples=40, seed=3)
     assert report.ok and report.coverage == "sampled" and report.checked == 40
+
+
+def test_validation_modes():
+    with pytest.raises(BudgetExceeded):
+        validate_local_rule(identity_rule(2, (0, 1)), exhaustive=True, budget=10)
+    small = identity_rule(1, (0,))
+    auto = validate_local_rule(small, exhaustive=None)
+    full = validate_local_rule(small, exhaustive=True)
+    assert auto.coverage == full.coverage == "exhaustive"
+    assert auto.checked == full.checked
+    fallback = validate_local_rule(identity_rule(2, (0, 1)), exhaustive=None,
+                                   budget=10, samples=5)
+    assert fallback.coverage == "sampled" and fallback.checked == 5
 
 
 def _identity_with_blank_stubs():
