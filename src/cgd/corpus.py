@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import EPSILON, CayleyGraph, PortGraph, _ball, canonicalize, disk, name_key
+from .graph import EPSILON, CayleyGraph, PortGraph, canonicalize, disk, name_key
 
 
 def _fill(vertices, label):
@@ -114,10 +114,9 @@ def grow_beyond(core: CayleyGraph, k: int, rng: random.Random, extra: int,
     other), so every one of them sits at distance at least k + 1 and no
     edge inside the ball changes.
     """
-    dist = _ball(core, EPSILON, len(core.vertices))
     used = {slot for e in core.edges for slot in e}
     open_slots = [(v, p)
-                  for v in sorted(core.vertices, key=name_key) if dist[v] == k
+                  for v in sorted(core.vertices, key=name_key) if len(v) == k
                   for p in range(1, core.degree + 1) if (v, p) not in used]
     vertices = list(core.vertices)
     edges = [tuple(e) for e in core.edges]
@@ -157,8 +156,7 @@ def flip_label_beyond(x: CayleyGraph, k: int, rng: random.Random, alphabet):
     Returns None when every vertex lies within radius k or the alphabet
     offers no alternative.
     """
-    dist = _ball(x, EPSILON, len(x.vertices))
-    deep = sorted((v for v in x.vertices if dist[v] > k), key=name_key)
+    deep = sorted((v for v in x.vertices if len(v) > k), key=name_key)
     if not deep:
         return None
     v = deep[rng.randrange(len(deep))]
@@ -167,4 +165,4 @@ def flip_label_beyond(x: CayleyGraph, k: int, rng: random.Random, alphabet):
         return None
     labels = dict(x.labels)
     labels[v] = rng.choice(others)
-    return CayleyGraph(x.degree, x.vertices, x.edges, labels), dist[v]
+    return CayleyGraph(x.degree, x.vertices, x.edges, labels), len(v)

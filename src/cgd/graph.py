@@ -12,6 +12,11 @@ The pointer itself is named by the empty word.  Two pointed graphs are
 isomorphic exactly when their canonical forms are equal, which makes
 canonical graphs usable as dictionary keys.
 
+One breadth-first search, ``_least_words``, names vertices shortest
+first for both ``canonicalize`` and ``disk_around``.  So in a canonical
+graph ``len(name)`` is the vertex's distance from the pointer, and
+callers read distances off name lengths instead of searching.
+
 Vertex names come in three kinds:
 
 * a word: tuple of (out_port, in_port) pairs, as produced by
@@ -66,11 +71,6 @@ def name_key(name):
     if isinstance(name, tuple):
         return (0, len(name), name)
     return (2, repr(name))
-
-
-def inverse_word(word: Word) -> Word:
-    """Reverse a word of port pairs; walking it undoes the original walk."""
-    return tuple((b, a) for (a, b) in reversed(word))
 
 
 class PortGraph:
@@ -178,38 +178,45 @@ class Disk:
             raise GraphError("graph reaches beyond the stated radius")
 
 
+def _least_words(g: PortGraph, center, r=None) -> dict:
+    """Least word from ``center`` of each vertex within ``r`` (all if None).
+
+    Ports are scanned in ascending order, so a vertex first reached from
+    the vertex named w through pair (a, b) gets the least word
+    w + ((a, b),), and ``len(name)`` is its distance from ``center``.
+    """
+    pm = g.port_map()
+    ports = range(1, g.degree + 1)
+    names = {center: EPSILON}
+    queue = deque([center])
+    while queue:
+        v = queue.popleft()
+        w = names[v]
+        if len(w) == r:
+            continue
+        for a in ports:
+            hit = pm.get((v, a))
+            if hit is not None and hit[0] not in names:
+                names[hit[0]] = w + ((a, hit[1]),)
+                queue.append(hit[0])
+    return names
+
+
 def canonicalize(g: PortGraph, pointer) -> CayleyGraph:
     """Rename every vertex to its least word from ``pointer``.
 
-    Breadth-first search assigns names in increasing word order: a
-    vertex first reached from parent word w through pair (a, b) is
-    named w + ((a, b),), scanning ports in ascending order.  Raises
-    DisconnectedInput when some vertex is unreachable.
+    Raises DisconnectedInput when some vertex is unreachable.
     """
     if isinstance(g, CayleyGraph) and pointer == EPSILON:
         return g
     if pointer not in g.vertices:
         raise GraphError(f"pointer {pointer!r} is not a vertex")
-    pm = g.port_map()
-    names = {pointer: EPSILON}
-    queue = deque([pointer])
-    while queue:
-        v = queue.popleft()
-        w = names[v]
-        for a in range(1, g.degree + 1):
-            hit = pm.get((v, a))
-            if hit is None:
-                continue
-            y, b = hit
-            if y not in names:
-                names[y] = w + ((a, b),)
-                queue.append(y)
+    names = _least_words(g, pointer)
     if len(names) != len(g.vertices):
         raise DisconnectedInput(f"{len(g.vertices) - len(names)} vertices unreachable from pointer")
     edges = [frozenset(((names[u], i), (names[v], j))) for (u, i), (v, j) in map(tuple, g.edges)]
-    labels = {names[v]: g.label(v) for v in g.vertices}
-    out = CayleyGraph(g.degree, names.values(), edges, labels)
-    return out
+    labels = {w: g.label(v) for v, w in names.items()}
+    return CayleyGraph(g.degree, names.values(), edges, labels)
 
 
 def walk(x: PortGraph, word: Word, start=EPSILON):
@@ -231,29 +238,12 @@ def walk(x: PortGraph, word: Word, start=EPSILON):
 
 def shift(x: CayleyGraph, word: Word) -> CayleyGraph:
     """Re-point the graph at the end of ``word`` and re-canonicalize."""
-    return canonicalize(PortGraph(x.degree, x.vertices, x.edges, x.labels),
-                        walk(x, word))
-
-
-def _ball(g: PortGraph, center, r: int):
-    pm = g.port_map()
-    dist = {center: 0}
-    queue = deque([center])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == r:
-            continue
-        for a in range(1, g.degree + 1):
-            hit = pm.get((v, a))
-            if hit is not None and hit[0] not in dist:
-                dist[hit[0]] = dist[v] + 1
-                queue.append(hit[0])
-    return dist
+    return canonicalize(x, walk(x, word))
 
 
 def eccentricity(x: CayleyGraph) -> int:
-    dist = _ball(x, EPSILON, len(x.vertices))
-    return max(dist.values(), default=0)
+    """Distance from the pointer to the farthest vertex: the longest name."""
+    return max(map(len, x.vertices), default=0)
 
 
 def disk_around(x: PortGraph, center, r: int) -> Disk:
@@ -262,20 +252,21 @@ def disk_around(x: PortGraph, center, r: int) -> Disk:
     Edges leaving the ball are dropped; edges between two ball vertices
     (including self-loops) are kept.  Canonical names of surviving
     vertices agree with ``shift(x, path-to-center)`` because every
-    shortest path to a ball vertex stays inside the ball.  Edges are
-    found through the ports of the ball's own vertices, so extracting a
-    disk costs in proportion to the ball, not to |V| or |E| of ``x``.
+    shortest path to a ball vertex stays inside the ball, so the ball's
+    least words are already its canonical names.  Edges are found
+    through the ports of the ball's own vertices, so extracting a disk
+    costs in proportion to the ball, not to |V| or |E| of ``x``.
     """
-    inside = _ball(x, center, r)
+    names = _least_words(x, center, r)
     pm = x.port_map()
     edges = set()
-    for v in inside:
+    for v, w in names.items():
         for a in range(1, x.degree + 1):
             hit = pm.get((v, a))
-            if hit is not None and hit[0] in inside:
-                edges.add(frozenset(((v, a), hit)))
-    sub = PortGraph(x.degree, inside.keys(), edges, {v: x.label(v) for v in inside})
-    return Disk(canonicalize(sub, center), r)
+            if hit is not None and hit[0] in names:
+                edges.add(frozenset(((w, a), (names[hit[0]], hit[1]))))
+    labels = {w: x.label(v) for v, w in names.items()}
+    return Disk(CayleyGraph(x.degree, names.values(), edges, labels), r)
 
 
 def disk(x: CayleyGraph, r: int) -> Disk:
@@ -476,56 +467,3 @@ def glue_all(parts) -> PortGraph:
     if not verdict.ok:
         raise InconsistentUnion(verdict.witness)
     return m.merged_graph(parts, degree)
-
-
-def check_path_conditions(x: CayleyGraph, max_len: int) -> list:
-    """Brute-force check of the path-language axioms up to ``max_len``.
-
-    Enumerates every walkable word from the pointer and verifies that
-    (1) the language is prefix-closed, (2) words ending on the same
-    vertex extend identically, (3) every traversed edge can be walked
-    back, undoing the step, and (4) a port determines at most one
-    continuation.  Returns a list of violation strings, empty on pass.
-    """
-    pm = x.port_map()
-    d = x.degree
-    violations = []
-    frontier = {EPSILON: EPSILON}
-    words = dict(frontier)
-    for _ in range(max_len):
-        nxt = {}
-        for w, v in frontier.items():
-            seen_ports = {}
-            for a in range(1, d + 1):
-                for b in range(1, d + 1):
-                    try:
-                        y = walk(x, ((a, b),), start=v)
-                    except NoSuchPath:
-                        continue
-                    if a in seen_ports:
-                        violations.append(f"port {a} at {v!r} admits two continuations")
-                    seen_ports[a] = b
-                    w2 = w + ((a, b),)
-                    nxt[w2] = y
-                    try:
-                        back = walk(x, ((b, a),), start=y)
-                    except NoSuchPath:
-                        back = None
-                    if back != v:
-                        violations.append(f"word {w2} cannot be undone by ({b},{a})")
-        words.update(nxt)
-        frontier = nxt
-    by_vertex = {}
-    for w, v in words.items():
-        by_vertex.setdefault(v, []).append(w)
-    for v, ws in by_vertex.items():
-        outs = {a: pm.get((v, a)) for a in range(1, d + 1)}
-        for w in ws:
-            if w and w[:-1] not in words:
-                violations.append(f"language not prefix-closed at {w}")
-            for a, hit in outs.items():
-                if hit is None:
-                    continue
-                if len(w) < max_len and w + ((a, hit[1]),) not in words:
-                    violations.append(f"extension ({a},{hit[1]}) missing after {w}")
-    return violations

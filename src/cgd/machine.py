@@ -193,10 +193,14 @@ def _rebuild(g, *, add_vertices=(), del_vertices=(), add_edges=(), del_edges=(),
     edges = set(g.edges)
     for e in del_edges:
         edges.discard(frozenset(e))
+    pm = g.port_map()
     for v in del_vertices:
         verts.discard(v)
         labels.pop(v, None)
-        edges = {e for e in edges if all(u != v for u, _ in e)}
+        for p in range(1, g.degree + 1):
+            hit = pm.get((v, p))
+            if hit is not None:
+                edges.discard(frozenset(((v, p), hit)))
     for v, lbl in add_vertices:
         verts.add(v)
         labels[v] = lbl

@@ -27,7 +27,6 @@ from .graph import (
     glue_all,
     name_key,
     walk,
-    _ball,
 )
 
 
@@ -55,9 +54,12 @@ class PartialRuleHole(RuleError):
     """The rule offers no image for this disk."""
 
     def __init__(self, vertex, disk_, message=None):
+        super().__init__(message)
         self.vertex = vertex
         self.disk = disk_
-        super().__init__(message or f"no image for the disk at {vertex!r}")
+
+    def __str__(self):
+        return self.args[0] or f"no image for the disk at {self.vertex!r}"
 
 
 @dataclass(frozen=True)
@@ -89,19 +91,18 @@ class LocalRule:
     """A (possibly partial) map from radius-r disks to images.
 
     Backed by an explicit table, a function, or both; function results
-    are validated once and memoized.  ``registry_key`` names rules that
-    cannot be tabulated within any reasonable budget so they can still
-    be described and decoded.
+    are validated once and memoized in the table.  ``registry_key``
+    names rules that cannot be tabulated within any reasonable budget
+    so they can still be described and decoded.
     """
 
-    __slots__ = ("params", "table", "fn", "registry_key", "_memo", "_label_set")
+    __slots__ = ("params", "table", "fn", "registry_key", "_label_set")
 
     def __init__(self, params: RuleParams, table=None, fn=None, registry_key=None):
         self.params = params
         self.table = dict(table) if table else {}
         self.fn = fn
         self.registry_key = registry_key
-        self._memo = {}
         self._label_set = frozenset(params.labels)
         for d, img in self.table.items():
             self._check_image(d, img)
@@ -118,19 +119,15 @@ class LocalRule:
         for v in d.graph.vertices:
             if d.graph.label(v) not in self._label_set:
                 raise RuleError(f"disk label {d.graph.label(v)!r} outside the rule alphabet")
-        hit = self.table.get(d)
-        if hit is not None:
-            return hit
-        hit = self._memo.get(d)
-        if hit is not None:
-            return hit
-        if self.fn is not None:
+        img = self.table.get(d)
+        if img is None and self.fn is not None:
             img = self.fn(d)
             if img is not None:
                 self._check_image(d, img)
-                self._memo[d] = img
-                return img
-        raise PartialRuleHole(None, d)
+                self.table[d] = img
+        if img is None:
+            raise PartialRuleHole(None, d)
+        return img
 
     def _check_image(self, d: Disk, img: PortGraph):
         p = self.params
@@ -157,7 +154,7 @@ class LocalRule:
             raise MissingEpsilon("no image vertex claims the disk center")
 
     def __repr__(self):
-        kind = self.registry_key or ("table" if self.table else "fn")
+        kind = self.registry_key or ("table" if self.fn is None and self.table else "fn")
         return f"<LocalRule {kind} r={self.params.radius} b={self.params.bound}>"
 
 
@@ -172,7 +169,8 @@ def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
     try:
         img = f.image(d)
     except PartialRuleHole as hole:
-        raise PartialRuleHole(u, hole.disk) from None
+        hole.vertex = u
+        raise
     at = {p: walk(x, p, start=u) for p in d.graph.vertices}
     names = {v: frozenset((at[p], z) for (p, z) in v) for v in img.vertices}
     edges = [((names[a], i), (names[b], j)) for (a, i), (b, j) in map(tuple, img.edges)]
@@ -225,32 +223,22 @@ class ValidationReport:
         return self.ok
 
 
-def _consistency_cases(f: LocalRule, ambient: CayleyGraph, near_only: bool):
-    """Yield (u, required_overlap) pairs to compare against the center image."""
-    r = f.params.radius
-    reach = 1 if near_only else 2 * r + 2
-    dist = _ball(ambient, EPSILON, reach)
-    for u in sorted(dist, key=name_key):
-        if u == EPSILON:
-            continue
-        yield u, (dist[u] <= 1)
-
-
 def _check_ambient(f: LocalRule, ambient: CayleyGraph, near_only: bool, witnesses):
+    """Compare the center's image with each image within reach (canonical
+    ambient: a name's length is its distance from the center)."""
+    reach = 1 if near_only else 2 * f.params.radius + 2
     center = _normalized_image(f, ambient, EPSILON)
-    ok = True
-    for u, need_overlap in _consistency_cases(f, ambient, near_only):
+    for u in sorted(ambient.vertices, key=name_key):
+        if not 0 < len(u) <= reach:
+            continue
         other = _normalized_image(f, ambient, u)
         verdict = consistent(center, other)
         if not verdict.ok:
             witnesses.append(f"images at {EPSILON!r} and {u!r} disagree: "
                              f"{verdict.witness} (ambient {ambient!r})")
-            ok = False
-        elif need_overlap and not verdict.nonempty:
+        elif len(u) == 1 and not verdict.nonempty:
             witnesses.append(f"images of adjacent vertices {EPSILON!r} and {u!r} "
                              f"do not even touch (ambient {ambient!r})")
-            ok = False
-    return ok
 
 
 def validate_local_rule(f: LocalRule, *, exhaustive=None, samples=1000,

@@ -21,6 +21,66 @@ def bfs_distances(g, start):
     return dist
 
 
+def inverse_word(word):
+    """Reverse a word of port pairs; walking it undoes the original walk."""
+    return tuple((b, a) for (a, b) in reversed(word))
+
+
+def check_path_conditions(x, max_len):
+    """Brute-force check of the path-language axioms up to ``max_len``.
+
+    Enumerates every walkable word from the pointer and verifies that
+    (1) the language is prefix-closed, (2) words ending on the same
+    vertex extend identically, (3) every traversed edge can be walked
+    back, undoing the step, and (4) a port determines at most one
+    continuation.  Returns a list of violation strings, empty on pass.
+    """
+    from cgd.graph import EPSILON, NoSuchPath, walk
+
+    pm = x.port_map()
+    d = x.degree
+    violations = []
+    frontier = {EPSILON: EPSILON}
+    words = dict(frontier)
+    for _ in range(max_len):
+        nxt = {}
+        for w, v in frontier.items():
+            seen_ports = {}
+            for a in range(1, d + 1):
+                for b in range(1, d + 1):
+                    try:
+                        y = walk(x, ((a, b),), start=v)
+                    except NoSuchPath:
+                        continue
+                    if a in seen_ports:
+                        violations.append(f"port {a} at {v!r} admits two continuations")
+                    seen_ports[a] = b
+                    w2 = w + ((a, b),)
+                    nxt[w2] = y
+                    try:
+                        back = walk(x, ((b, a),), start=y)
+                    except NoSuchPath:
+                        back = None
+                    if back != v:
+                        violations.append(f"word {w2} cannot be undone by ({b},{a})")
+        words.update(nxt)
+        frontier = nxt
+    by_vertex = {}
+    for w, v in words.items():
+        by_vertex.setdefault(v, []).append(w)
+    for v, ws in by_vertex.items():
+        outs = {a: pm.get((v, a)) for a in range(1, d + 1)}
+        for w in ws:
+            if w and w[:-1] not in words:
+                violations.append(f"language not prefix-closed at {w}")
+            for a, hit in outs.items():
+                if hit is None:
+                    continue
+                if len(w) < max_len and w + ((a, hit[1]),) not in words:
+                    violations.append(f"extension ({a},{hit[1]}) missing after {w}")
+    return violations
+
+
 def assert_step_local(before, after, reach=2):
     """Every change between consecutive machine worlds hugs the machine.
 

@@ -2,7 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import bfs_distances, exhaustive_min_names, layered_min_names, rename_by
+from conftest import (
+    bfs_distances,
+    check_path_conditions,
+    exhaustive_min_names,
+    inverse_word,
+    layered_min_names,
+    rename_by,
+)
 
 from cgd.corpus import (
     cycle_graph,
@@ -27,14 +34,12 @@ from cgd.graph import (
     PortConflict,
     PortGraph,
     canonicalize,
-    check_path_conditions,
     consistent,
     disk,
     disk_around,
     distance,
     eccentricity,
     glue_all,
-    inverse_word,
     name_key,
     shift,
     walk,
@@ -251,9 +256,27 @@ def test_disk_constructor_rejects_oversized_graph():
 
 
 def test_eccentricity_matches_bfs():
+    """Canonical names are as long as their distance from the pointer.
+
+    Eccentricity, disk radii, the validator and the corpus builders all
+    read distances off name lengths, so this holds for ``canonicalize``
+    and for ``disk_around`` at every centre and radius.
+    """
     for seed in range(20):
         x = random_graph(seed, degree=3, size=18)
         assert eccentricity(x) == max(bfs_distances(x, EPSILON).values())
+    for seed in range(24):
+        degree = 2 + seed % 3
+        g, root = random_port_graph(random.Random(seed), degree=degree, size=16)
+        x = canonicalize(g, root)
+        assert {v: len(v) for v in x.vertices} == bfs_distances(x, EPSILON)
+        for v in x.vertices:
+            ball = bfs_distances(x, v)
+            for r in range(4):
+                d = disk_around(x, v, r).graph
+                assert {w: len(w) for w in d.vertices} == bfs_distances(d, EPSILON)
+                assert ({walk(x, w, start=v): len(w) for w in d.vertices}
+                        == {u: k for u, k in ball.items() if k <= r})
 
 
 # --- metric ------------------------------------------------------------------

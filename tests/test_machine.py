@@ -29,6 +29,7 @@ from cgd.machine import (
     trace,
     universal_rule,
     world_port_count,
+    _rebuild,
 )
 from cgd.rules import LocalRule, RuleParams, apply_rule
 
@@ -97,6 +98,19 @@ def test_mixed_stamps_in_one_disk_refuse_to_run():
     from cgd.graph import disk
     with pytest.raises(MixedRuleDescriptions):
         univ.image(disk(mixed, 1))
+
+
+def test_a_mixed_disk_keeps_its_error_through_apply_rule():
+    keyed = RuleDescription(identity_rule(2, (0, 1)).params, registry_key="identity")
+    univ = universal_rule(keyed.params, (IDD2, keyed))
+    x = label_with(cycle_graph(4), IDD2)
+    mixed = type(x)(x.degree, x.vertices, x.edges,
+                    {u: (SimLabel(0, keyed) if u == ((1, 2),) else x.label(u))
+                     for u in x.vertices})
+    with pytest.raises(MixedRuleDescriptions) as info:
+        apply_rule(univ, mixed)
+    assert str(info.value) == "disk mixes two descriptions"
+    assert info.value.vertex in mixed.vertices
 
 
 def test_zero_delay_simulation_identity():
@@ -216,6 +230,16 @@ def test_finished_world_holds_only_the_built_graph():
     assert all(p <= 2 for e in g.edges for _, p in e)  # hooks all free again
     assert canonicalize(PortGraph(2, g.vertices, g.edges, g.labels), w.root) \
         == label_with(x, IDD2)
+
+
+def test_deleting_a_vertex_drops_exactly_its_edges():
+    worlds = list(trace(build_machine_world(code_for(cycle_graph(5)), IDD2)))
+    g = worlds[len(worlds) // 2].graph
+    for v in g.vertices:
+        # oracle: filter the whole edge set
+        edges = [e for e in g.edges if all(u != v for u, _ in e)]
+        labels = {u: g.label(u) for u in g.vertices if u != v}
+        assert _rebuild(g, del_vertices=[v]) == PortGraph(g.degree, labels, edges, labels)
 
 
 def test_budget_cuts_the_run_short():
