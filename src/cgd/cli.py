@@ -85,10 +85,6 @@ def load_rule(source: str, *, degree=None, labels=None, budget=10_000):
     return decode_rule(desc, budget=budget), desc
 
 
-def _graph_labels(x):
-    return tuple(range(max((lbl for lbl in x.labels.values()), default=0) + 1))
-
-
 def _unstamped(x):
     # code strings carry integer labels only; drop stamps, keep the values
     if any(hasattr(lbl, "description") for lbl in x.labels.values()):
@@ -102,13 +98,13 @@ def emit(x, fmt, out, step=None):
         out.write(to_dot(x))
     elif fmt == "code":
         y = _unstamped(x)
-        out.write(encode_graph(y, alphabet=_graph_labels(y)).text + "\n")
+        out.write(encode_graph(y).text + "\n")
     out.write(summary_line(x, step) + "\n")
 
 
 def cmd_encode(args, out):
     x = load_graph(args.graph)
-    out.write(write_code(encode_graph(x, alphabet=_graph_labels(x))))
+    out.write(write_code(encode_graph(x)))
     return 0
 
 
@@ -125,7 +121,8 @@ def _graph_and_rule(args, *, describe=False, description=None):
     With ``describe``, a rule without a description is encoded into one.
     """
     x = load_graph(args.graph)
-    degree, labels, override = x.degree, _graph_labels(x), None
+    labels = tuple(range(max(x.labels.values(), default=0) + 1))
+    degree, override = x.degree, None
     if description:
         override = read_rule(Path(description).read_text())
         degree, labels = override.params.port_count, override.params.labels
@@ -142,8 +139,7 @@ def _graph_and_rule(args, *, describe=False, description=None):
 
 def _build_on_machine(x, desc, budget):
     """x stamped with desc as the construction machine builds it, and the step count."""
-    for world in trace(build_machine_world(
-            encode_graph(x, alphabet=_graph_labels(x)), desc), budget=budget):
+    for world in trace(build_machine_world(encode_graph(x), desc), budget=budget):
         pass
     return finished_graph(world), world.steps
 
@@ -158,8 +154,7 @@ def cmd_run(args, out):
 def cmd_validate_rule(args, out):
     f, _ = load_rule(args.rule, degree=args.ports, labels=args.labels,
                      budget=args.budget_enum)
-    exhaustive = True if args.exhaustive else None
-    report = validate_local_rule(f, exhaustive=exhaustive, samples=args.samples,
+    report = validate_local_rule(f, exhaustive=args.exhaustive, samples=args.samples,
                                  budget=args.budget_enum, seed=args.seed)
     out.write(f"checked {report.checked} cases ({report.coverage}), bound "
               f"{'respected' if report.bound_ok else 'violated'}\n")
@@ -280,7 +275,7 @@ def build_parser():
 def _render_error(e) -> str:
     if isinstance(e, PartialRuleHole) and e.disk is not None:
         g = _unstamped(e.disk.graph)
-        return f"{e} (offending disk: {encode_graph(g, alphabet=_graph_labels(g)).text})"
+        return f"{e} (offending disk: {encode_graph(g).text})"
     return str(e)
 
 

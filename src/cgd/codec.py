@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .graph import (
     EPSILON,
-    EPS_ELEM,
     CayleyGraph,
     Disk,
     GraphError,
@@ -35,11 +34,11 @@ from .graph import (
 )
 from .library import RULE_REGISTRY
 from .rules import (
-    ImageTooLarge,
     LocalRule,
     PartialRuleHole,
     RuleError,
     RuleParams,
+    check_image,
 )
 
 
@@ -57,10 +56,6 @@ class PortReuse(ParseError):
 
 class BadIndex(Exception):
     """An image rank outside the image space of its key disk."""
-
-
-class NamingConstraintViolated(Exception):
-    """An image vertex name is not addressable from its key disk."""
 
 
 class BudgetExceeded(Exception):
@@ -86,6 +81,11 @@ class GraphCode:
         return self.text
 
 
+def is_pair(t) -> bool:
+    """A port pair (i, j): a backedge or a walk step, not a label token."""
+    return isinstance(t, tuple) and len(t) == 2 and t[0] != "lbl"
+
+
 def render_tokens(tokens, alphabet) -> str:
     out = []
     for t in tokens:
@@ -93,7 +93,7 @@ def render_tokens(tokens, alphabet) -> str:
             out.append(t)
         elif isinstance(t, tuple) and t[0] == "lbl":
             out.append(str(list(alphabet).index(t[1])))
-        elif isinstance(t, tuple) and len(t) == 2:
+        elif is_pair(t):
             out.append(f"({t[0]},{t[1]})")
         else:
             raise ParseError(f"unrenderable token {t!r}")
@@ -219,95 +219,80 @@ def encode_graph(x: PortGraph, pointer=EPSILON, alphabet=None) -> GraphCode:
 
 
 def decode_graph(code: GraphCode) -> CayleyGraph:
-    """Replay a traversal record into the canonical graph it describes."""
+    """Replay a traversal record into the canonical graph it describes.
+
+    Vertex v's part of the record is ``$ label (pair |*)* ; pair*``: its
+    word, then the walk whose last pair opens vertex v + 1 through a free
+    port (the last vertex's walk runs to the end of the record).
+    """
     d = code.port_count
     alphabet = set(code.alphabet)
-    visit = []
+    tokens = code.tokens
+    end = len(tokens)
     labels = {}
     pm = {}
     edges = []
-
-    def bind(u, i, v, j, at):
-        if (u, i) in pm or (v, j) in pm:
-            slot = (u, i) if (u, i) in pm else (v, j)
-            raise PortReuse(f"port already carries an edge: {slot} (token {at})")
-        if u == v and i == j:
-            raise ParseError(f"an edge cannot start and end on one port slot (token {at})")
-        pm[(u, i)] = (v, j)
-        pm[(v, j)] = (u, i)
-        edges.append(((u, i), (v, j)))
-
-    state = "dollar"
-    cur = None
-    pending_back = None
-    bars = 0
     pos = 0
-    tokens = code.tokens
-    while pos < len(tokens):
-        t = tokens[pos]
-        if state == "dollar":
-            if t != "$":
-                raise ParseError(f"expected '$', got {t!r} (token {pos})")
-            state = "label"
-        elif state == "label":
-            if not (isinstance(t, tuple) and t[0] == "lbl"):
-                raise ParseError(f"expected a label, got {t!r} (token {pos})")
-            if t[1] not in alphabet:
-                raise ParseError(f"label {t[1]!r} outside the alphabet (token {pos})")
-            if not visit:
-                visit.append(0)
-            cur = visit[-1]
-            labels[cur] = t[1]
-            state = "back"
-        elif state == "back":
-            if t == ";":
-                state = "path"
-            elif isinstance(t, tuple) and len(t) == 2 and t[0] != "lbl":
-                pending_back = t
-                bars = 0
-                state = "bars"
-            else:
-                raise ParseError(f"expected a backedge or ';', got {t!r} (token {pos})")
-        elif state == "bars":
-            if t == "|":
-                bars += 1
-            else:
-                if bars >= len(visit):
-                    raise DanglingBacktrack(f"{bars} bars with only {len(visit)} "
-                                            f"vertices read (token {pos})")
-                i, j = pending_back
-                bind(cur, i, visit[-1 - bars], j, pos)
-                state = "back"
-                continue  # reprocess this token
-        elif state == "path":
-            if isinstance(t, tuple) and len(t) == 2 and t[0] != "lbl":
-                i, j = t
-                hit = pm.get((cur, i))
-                if hit is not None:
-                    y, jj = hit
-                    if jj != j:
-                        raise ParseError(f"walk expects port {j}, edge enters {jj} (token {pos})")
-                    cur = y
-                else:
-                    fresh = len(visit)
-                    visit.append(fresh)
-                    bind(cur, i, fresh, j, pos)
-                    state = "dollar"
-            else:
-                raise ParseError(f"unexpected {t!r} in a path (token {pos})")
+    while pos < end:
+        v = len(labels)
+        if tokens[pos] != "$":
+            raise ParseError(f"expected '$', got {tokens[pos]!r} (token {pos})")
         pos += 1
-    if state == "bars":
-        if bars >= len(visit):
-            raise DanglingBacktrack(f"{bars} bars with only {len(visit)} vertices read")
-        i, j = pending_back
-        bind(cur, i, visit[-1 - bars], j, len(tokens))
-        state = "back"
-    if state != "path":
-        raise ParseError(f"record stops mid-word (state {state})")
-    if not (1 <= d) or any(not 1 <= p <= d for (_, p) in pm):
-        raise ParseError("pair uses a port outside 1..port_count")
-    g = PortGraph(d, visit, edges, labels)
-    return canonicalize(g, 0)
+        if pos == end:
+            break
+        t = tokens[pos]
+        if not (isinstance(t, tuple) and t[0] == "lbl"):
+            raise ParseError(f"expected a label, got {t!r} (token {pos})")
+        if t[1] not in alphabet:
+            raise ParseError(f"label {t[1]!r} outside the alphabet (token {pos})")
+        labels[v] = t[1]
+        pos += 1
+        while pos < end and tokens[pos] != ";":
+            t = tokens[pos]
+            if not (isinstance(t, tuple) and len(t) == 2 and t[0] != "lbl"):  # is_pair, inlined
+                raise ParseError(f"expected a backedge or ';', got {t!r} (token {pos})")
+            i, j = t
+            pos += 1
+            bars = pos
+            while pos < end and tokens[pos] == "|":
+                pos += 1
+            bars = pos - bars
+            if bars > v:
+                raise DanglingBacktrack(f"{bars} bars with only {v + 1} vertices "
+                                        f"read (token {pos})")
+            u = v - bars
+            if (v, i) in pm or (u, j) in pm:
+                slot = (v, i) if (v, i) in pm else (u, j)
+                raise PortReuse(f"port already carries an edge: {slot} (token {pos})")
+            if u == v and i == j:
+                raise ParseError(f"an edge cannot start and end on one port slot (token {pos})")
+            pm[(v, i)] = (u, j)
+            pm[(u, j)] = (v, i)
+            edges.append(((v, i), (u, j)))
+        if pos == end:
+            break
+        pos += 1
+        while pos < end:  # the walk moves v
+            t = tokens[pos]
+            if not (isinstance(t, tuple) and len(t) == 2 and t[0] != "lbl"):  # is_pair, inlined
+                raise ParseError(f"unexpected {t!r} in a path (token {pos})")
+            i, j = t
+            pos += 1
+            hit = pm.get((v, i))
+            if hit is None:
+                pm[(v, i)] = (len(labels), j)
+                pm[(len(labels), j)] = (v, i)
+                edges.append(((v, i), (len(labels), j)))
+                break
+            if hit[1] != j:
+                raise ParseError(f"walk expects port {j}, edge enters {hit[1]} "
+                                 f"(token {pos - 1})")
+            v = hit[0]
+        else:
+            if d < 1 or any(not 1 <= p <= d for (_, p) in pm):
+                raise ParseError("pair uses a port outside 1..port_count")
+            return canonicalize(PortGraph(d, range(len(labels)), edges, labels), 0)
+    raise ParseError(f"record stops mid-word (token {end})")
 
 
 # --- enumeration of canonical graphs ----------------------------------------
@@ -430,55 +415,34 @@ def _partition_counts(m_elems, k):
     return table
 
 
-def _universe(params: RuleParams, key: Disk):
-    verts = sorted(key.graph.vertices, key=name_key)
-    elems = [(v, z) for v in verts for z in range(params.suffix_count + 1)]
-    return elems
+def _image_space(params: RuleParams, key: Disk):
+    """The key disk's name elements in rank order, and the image counts by size k = 1..bound."""
+    elems = [(v, z) for v in sorted(key.graph.vertices, key=name_key)
+             for z in range(params.suffix_count + 1)]
+    m, d = len(params.labels), params.port_count
+    return elems, [_partition_counts(len(elems), k)[1][1] * m ** k * _involutions(k * d)
+                   for k in range(1, params.bound + 1)]
 
 
 def image_space_size(params: RuleParams, key: Disk) -> int:
-    m_elems = len(_universe(params, key))
-    m = len(params.labels)
-    total = 0
-    for k in range(1, params.bound + 1):
-        p_k = _partition_counts(m_elems, k)[1][1] if m_elems >= 1 else 0
-        total += p_k * m ** k * _involutions(k * params.port_count)
-    return total
-
-
-def _blocks_of(img: PortGraph, elem_index):
-    blocks = []
-    for v in img.vertices:
-        if not isinstance(v, frozenset) or not v:
-            raise NamingConstraintViolated(f"image vertex {v!r} is not a nonempty name set")
-        idxs = []
-        for e in v:
-            if e not in elem_index:
-                raise NamingConstraintViolated(f"element {e!r} not addressable from the key disk")
-            idxs.append(elem_index[e])
-        blocks.append((min(idxs), sorted(idxs)))
-    blocks.sort()
-    if blocks[0][0] != 0:
-        raise NamingConstraintViolated("no image vertex claims the disk center")
-    return [idxs for _, idxs in blocks]
+    return sum(_image_space(params, key)[1])
 
 
 def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
-    """Position of an image in the fixed ordering of its key disk's image space."""
-    if img.degree != params.port_count:
-        raise NamingConstraintViolated("image port count differs from the rule's")
-    elems = _universe(params, key)
+    """Position of an image in the fixed ordering of its key disk's image space.
+
+    Images with fewer vertices come first; then the partition of the
+    elements into vertices, the labels, and the port matching.
+    """
+    check_image(params, key, img)
+    elems, counts = _image_space(params, key)
     elem_index = {e: i for i, e in enumerate(elems)}
-    blocks = _blocks_of(img, elem_index)
+    # vertices ordered by their least element; the first claims the center
+    blocks = sorted((sorted(elem_index[e] for e in v), v) for v in img.vertices)
     k = len(blocks)
-    if k > params.bound:
-        raise ImageTooLarge(f"{k} vertices exceed the bound {params.bound}")
     m_elems = len(elems)
     table = _partition_counts(m_elems, k)
-    block_of = {}
-    for bi, idxs in enumerate(blocks):
-        for i in idxs:
-            block_of[i] = bi
+    block_of = {i: bi for bi, (idxs, _) in enumerate(blocks) for i in idxs}
     p_rank = 0
     opened = 1
     for pos in range(1, m_elems):
@@ -492,25 +456,15 @@ def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
             p_rank += (1 + opened) * follow
             opened += 1
     m = len(params.labels)
-    order = {s: i for i, s in enumerate(params.labels)}
-    vert_of_block = {min(elem_index[e] for e in v): v for v in img.vertices}
-    verts_in_order = [vert_of_block[idxs[0]] for idxs in blocks]
     l_rank = 0
-    for v in verts_in_order:
-        lbl = img.label(v)
-        if lbl not in order:
-            raise NamingConstraintViolated(f"image label {lbl!r} outside the alphabet")
-        l_rank = l_rank * m + order[lbl]
+    for _, v in blocks:
+        l_rank = l_rank * m + params.labels.index(img.label(v))
     d = params.port_count
-    slot_index = {}
-    for bi in range(k):
-        for p in range(1, d + 1):
-            slot_index[(bi, p)] = bi * d + (p - 1)
+    first_slot = {v: bi * d - 1 for bi, (_, v) in enumerate(blocks)}
     mate = {}
-    vert_block = {v: bi for bi, v in enumerate(verts_in_order)}
     for e in img.edges:
         (u, i), (w, j) = tuple(e)
-        a, b = slot_index[(vert_block[u], i)], slot_index[(vert_block[w], j)]
+        a, b = first_slot[u] + i, first_slot[w] + j
         mate[a] = b
         mate[b] = a
     n_slots = k * d
@@ -524,30 +478,24 @@ def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
             i = free.index(partner)
             m_rank += _involutions(rest) + i * _involutions(rest - 1)
             free.remove(partner)
-    base = 0
-    for kk in range(1, k):
-        p_kk = _partition_counts(m_elems, kk)[1][1]
-        base += p_kk * m ** kk * _involutions(kk * d)
-    return base + (p_rank * m ** k + l_rank) * _involutions(n_slots) + m_rank
+    return sum(counts[:k - 1]) + (p_rank * m ** k + l_rank) * _involutions(n_slots) + m_rank
 
 
 def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
     """Inverse of ``rank_image``; out-of-range ranks raise BadIndex."""
     if rank < 0:
         raise BadIndex(rank)
-    elems = _universe(params, key)
-    m_elems = len(elems)
-    m = len(params.labels)
-    d = params.port_count
+    elems, counts = _image_space(params, key)
     rest = rank
-    for k in range(1, params.bound + 1):
-        p_k = _partition_counts(m_elems, k)[1][1]
-        count_k = p_k * m ** k * _involutions(k * d)
+    for k, count_k in enumerate(counts, 1):
         if rest < count_k:
             break
         rest -= count_k
     else:
         raise BadIndex(rank)
+    m_elems = len(elems)
+    m = len(params.labels)
+    d = params.port_count
     n_slots = k * d
     inv = _involutions(n_slots)
     m_rank = rest % inv

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codec import GraphCode, RuleDescription, decode_rule, encode_rule
+from .codec import GraphCode, RuleDescription, decode_rule, encode_rule, is_pair
 from .graph import CayleyGraph, Disk, PortGraph, canonicalize, distance
 from .rules import LocalRule, PartialRuleHole, RuleParams, apply_rule
 
@@ -302,7 +302,7 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         tok = token_at(head)
         if tok == ";":
             return moved("read-path", **consume(head))
-        if isinstance(tok, tuple) and tok[0] != "lbl" and len(tok) == 2:
+        if is_pair(tok):
             edits = consume(head)
             edits["relabel"] = [("buf", ("buf", tok))]
             return moved("back-pending", **edits)
@@ -322,7 +322,7 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         tok = token_at(head)
         if tok == "|":
             return moved("walk-seg", **consume(head))
-        if tok == ";" or (isinstance(tok, tuple) and tok[0] != "lbl"):
+        if tok == ";" or is_pair(tok):
             return moved("place-back")
         raise MalformedWorld(f"expected bars, a pair or ';', found {tok!r}")
 
@@ -371,7 +371,7 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         if head is None:
             return moved("finish")
         tok = token_at(head)
-        if isinstance(tok, tuple) and tok[0] != "lbl" and len(tok) == 2:
+        if is_pair(tok):
             edits = consume(head)
             return moved("extend", tok, **edits)
         raise MalformedWorld(f"expected a path pair or the tape's end, found {tok!r}")

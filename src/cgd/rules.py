@@ -87,6 +87,31 @@ class RuleParams:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
+def check_image(p: RuleParams, d: Disk, img: PortGraph):
+    """Raise the RuleError that says why ``img`` is no image of ``d`` under ``p``."""
+    if img.degree != p.port_count:
+        raise RuleError("image degree differs from the rule's port count")
+    if len(img.vertices) > p.bound:
+        raise ImageTooLarge(f"{len(img.vertices)} vertices exceed the bound {p.bound}")
+    source_names = d.graph.vertices
+    seen_eps = False
+    for v in img.vertices:
+        if not isinstance(v, frozenset) or not v:
+            raise InvalidImageName(f"image vertex {v!r} is not a nonempty name set")
+        for elem in v:
+            if (not isinstance(elem, tuple) or len(elem) != 2
+                    or elem[0] not in source_names
+                    or not isinstance(elem[1], int)
+                    or not 0 <= elem[1] <= p.suffix_count):
+                raise InvalidImageName(f"element {elem!r} not addressable from this disk")
+        if EPS_ELEM in v:
+            seen_eps = True
+        if img.label(v) not in p.labels:
+            raise RuleError(f"image label {img.label(v)!r} outside the rule alphabet")
+    if not seen_eps:
+        raise MissingEpsilon("no image vertex claims the disk center")
+
+
 class LocalRule:
     """A (possibly partial) map from radius-r disks to images.
 
@@ -96,62 +121,38 @@ class LocalRule:
     so they can still be described and decoded.
     """
 
-    __slots__ = ("params", "table", "fn", "registry_key", "_label_set")
+    __slots__ = ("params", "table", "fn", "registry_key")
 
     def __init__(self, params: RuleParams, table=None, fn=None, registry_key=None):
         self.params = params
         self.table = dict(table) if table else {}
         self.fn = fn
         self.registry_key = registry_key
-        self._label_set = frozenset(params.labels)
         for d, img in self.table.items():
-            self._check_image(d, img)
+            check_image(self.params, d, img)
 
     @property
     def radius(self) -> int:
         return self.params.radius
 
     def image(self, d: Disk) -> PortGraph:
-        if d.radius != self.params.radius:
-            raise WrongRadius(f"rule wants radius {self.params.radius}, got {d.radius}")
-        if d.graph.degree != self.params.port_count:
-            raise RuleError(f"rule wants {self.params.port_count} ports, got {d.graph.degree}")
+        p = self.params
+        if d.radius != p.radius:
+            raise WrongRadius(f"rule wants radius {p.radius}, got {d.radius}")
+        if d.graph.degree != p.port_count:
+            raise RuleError(f"rule wants {p.port_count} ports, got {d.graph.degree}")
         for v in d.graph.vertices:
-            if d.graph.label(v) not in self._label_set:
+            if d.graph.label(v) not in p.labels:
                 raise RuleError(f"disk label {d.graph.label(v)!r} outside the rule alphabet")
         img = self.table.get(d)
         if img is None and self.fn is not None:
             img = self.fn(d)
             if img is not None:
-                self._check_image(d, img)
+                check_image(p, d, img)
                 self.table[d] = img
         if img is None:
             raise PartialRuleHole(None, d)
         return img
-
-    def _check_image(self, d: Disk, img: PortGraph):
-        p = self.params
-        if img.degree != p.port_count:
-            raise RuleError("image degree differs from the rule's port count")
-        if len(img.vertices) > p.bound:
-            raise ImageTooLarge(f"{len(img.vertices)} vertices exceed the bound {p.bound}")
-        source_names = d.graph.vertices
-        seen_eps = False
-        for v in img.vertices:
-            if not isinstance(v, frozenset) or not v:
-                raise InvalidImageName(f"image vertex {v!r} is not a nonempty name set")
-            for elem in v:
-                if (not isinstance(elem, tuple) or len(elem) != 2
-                        or elem[0] not in source_names
-                        or not isinstance(elem[1], int)
-                        or not 0 <= elem[1] <= p.suffix_count):
-                    raise InvalidImageName(f"element {elem!r} not addressable from this disk")
-            if EPS_ELEM in v:
-                seen_eps = True
-            if img.label(v) not in self._label_set:
-                raise RuleError(f"image label {img.label(v)!r} outside the rule alphabet")
-        if not seen_eps:
-            raise MissingEpsilon("no image vertex claims the disk center")
 
     def __repr__(self):
         kind = self.registry_key or ("table" if self.fn is None and self.table else "fn")
@@ -241,7 +242,7 @@ def _check_ambient(f: LocalRule, ambient: CayleyGraph, near_only: bool, witnesse
                              f"do not even touch (ambient {ambient!r})")
 
 
-def validate_local_rule(f: LocalRule, *, exhaustive=None, samples=1000,
+def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
                         budget=10_000, seed=0) -> ValidationReport:
     """Check the consistency conditions that make a rule gluable.
 
@@ -250,11 +251,10 @@ def validate_local_rule(f: LocalRule, *, exhaustive=None, samples=1000,
     condition: images of vertices up to distance 2r + 2 must agree,
     probed inside ambient disks of radius 3r + 2 (beyond that range the
     images cannot share names).  Image size bounds are checked on the
-    way.  With ``exhaustive=True`` every ambient disk is enumerated
-    (within ``budget``, else BudgetExceeded); with ``exhaustive=False``
-    ``samples`` random ambients are drawn; ``None`` tries the first and
-    falls back to the second past the budget.  Not a proof in sampled
-    mode, but wrong rules rarely survive it.
+    way.  Every ambient disk is enumerated when the catalogs fit
+    ``budget``; past it, ``samples`` random ambients are drawn instead,
+    or with ``exhaustive=True`` BudgetExceeded is raised.  Not a proof
+    in sampled mode, but wrong rules rarely survive it.
     """
     from .codec import BudgetExceeded, enumerate_disks
 
@@ -263,16 +263,15 @@ def validate_local_rule(f: LocalRule, *, exhaustive=None, samples=1000,
     witnesses = []
     bound_ok = True
     checked = 0
-    ambients = None
-    if exhaustive or exhaustive is None:
-        try:
-            ambients = [(d.graph, near)
-                        for near, radius in ((True, r + 1), (False, 3 * r + 2))
-                        for d in enumerate_disks(p.port_count, p.labels, radius,
-                                                 budget=budget)]
-        except BudgetExceeded:
-            if exhaustive:
-                raise
+    try:
+        ambients = [(d.graph, near)
+                    for near, radius in ((True, r + 1), (False, 3 * r + 2))
+                    for d in enumerate_disks(p.port_count, p.labels, radius,
+                                             budget=budget)]
+    except BudgetExceeded:
+        if exhaustive:
+            raise
+        ambients = None
     exhaustive = ambients is not None
     if not exhaustive:
         from .corpus import random_graph

@@ -2,13 +2,13 @@ import random
 
 import pytest
 from conftest import brute_canonical_graphs
+from oracle import decode_graph as oracle_decode_graph
 
 from cgd.codec import (
     BadIndex,
     BudgetExceeded,
     DanglingBacktrack,
     GraphCode,
-    NamingConstraintViolated,
     ParseError,
     PortReuse,
     RuleDescription,
@@ -28,7 +28,14 @@ from cgd.codec import (
 from cgd.corpus import cycle_graph, grid_graph, random_graph, sample_graph
 from cgd.graph import EPS_ELEM, GraphError, PortGraph, eccentricity
 from cgd.library import identity_rule, inflating_grid_rule, xor_label_rule
-from cgd.rules import LocalRule, PartialRuleHole, RuleError, RuleParams, apply_rule
+from cgd.rules import (
+    InvalidImageName,
+    LocalRule,
+    PartialRuleHole,
+    RuleError,
+    RuleParams,
+    apply_rule,
+)
 
 GOLDEN = "$1;(1,1)$0;(2,3)$0(2,3)||;(1,1)$1(2,3)||;"
 
@@ -116,6 +123,50 @@ def test_decode_rejects_malformed_records():
         decode_graph(toks("$0(1,1);"))  # self-loop start and end on one slot
 
 
+def _mutated_codes(n, seed):
+    """Codes of random graphs, most of them broken by a few token edits."""
+    rng = random.Random(seed)
+    alphabet = (0, 1)
+    for _ in range(n):
+        d = rng.randint(1, 4)
+        x = random_graph(rng, degree=d, size=rng.randint(1, 10), alphabet=alphabet)
+        tokens = list(encode_graph(x, alphabet=alphabet).tokens)
+        vocab = (["$", ";", "|", ("lbl", 0), ("lbl", 1), ("lbl", 2)]
+                 + [(i, j) for i in range(1, d + 2) for j in range(1, d + 2)])
+        for _ in range(rng.randint(0, 3)):
+            op = rng.choice(("delete", "insert", "replace", "swap"))
+            at = rng.randrange(len(tokens) + 1)
+            if op == "insert":
+                tokens.insert(at, rng.choice(vocab))
+            elif at < len(tokens) and op == "delete":
+                del tokens[at]
+            elif at < len(tokens) and op == "replace":
+                tokens[at] = rng.choice(vocab)
+            elif at < len(tokens):
+                other = rng.randrange(len(tokens))
+                tokens[at], tokens[other] = tokens[other], tokens[at]
+        port_count = rng.choice((0, d + 1)) if rng.random() < 0.1 else d
+        yield GraphCode(port_count, alphabet, tuple(tokens))
+
+
+def _outcome(decode, code):
+    try:
+        return decode(code)
+    except Exception as e:  # the differential test compares exception classes
+        return type(e)
+
+
+def test_decoder_agrees_with_the_frozen_oracle():
+    outcomes = []
+    for code in _mutated_codes(2000, seed=11):
+        got = _outcome(decode_graph, code)
+        assert got == _outcome(oracle_decode_graph, code), code
+        outcomes.append(got if isinstance(got, type) else "graph")
+    # the corpus reaches every way out of the decoder
+    assert set(outcomes) == {"graph", ParseError, PortReuse, DanglingBacktrack}
+    assert outcomes.count("graph") > 200
+
+
 def test_self_loop_uses_zero_bars():
     x = cycle_graph(1, label=1)
     text = encode_graph(x, alphabet=(0, 1)).text
@@ -199,10 +250,10 @@ def test_rank_rejects_foreign_names():
     key = enumerate_disks(2, (0, 1), 1)[0]
     alien = frozenset({(((9, 9),), 0)})  # word not in the key disk
     bad = PortGraph(2, [alien], [], {alien: 0})
-    with pytest.raises(NamingConstraintViolated):
+    with pytest.raises(InvalidImageName):
         rank_image(p, key, bad)
     raw = PortGraph(2, ["v"], [], {"v": 0})
-    with pytest.raises(NamingConstraintViolated):
+    with pytest.raises(InvalidImageName):
         rank_image(p, key, raw)
 
 
@@ -230,6 +281,26 @@ def test_dense_description_roundtrip():
         assert desc.entries is not None
         back = decode_rule(desc)
         assert apply_rule(back, x) == apply_rule(rule, x)
+
+
+# Rule files store ranks, so the image order is part of the file format.
+# Entry counts and digests of these descriptions, computed at commit 38954b8.
+PINNED_DESCRIPTIONS = [
+    (lambda: identity_rule(2, (0, 1)), 92,
+     "c67de8fdf246592b5c3a32547efa038132bb07044dd23fbaa637eaffdb5ef277"),
+    (lambda: xor_label_rule(2), 1564,
+     "22279a587a848265f4d7c2de11e7e787603fa8c241da5304eac02c31418f1970"),
+    (lambda: identity_rule(1, (0,)), 2,
+     "cc64239bc3417819bb4953aedd7f6b3fe266b889e4e13f89c1ccc529c3b1ae4a"),
+]
+
+
+@pytest.mark.parametrize("build,count,digest", PINNED_DESCRIPTIONS,
+                         ids=["identity-2", "xor-2", "identity-1"])
+def test_description_ranks_are_pinned(build, count, digest):
+    desc = encode_rule(build())
+    assert len(desc.entries) == count
+    assert desc.digest() == digest
 
 
 def test_description_equality_and_hash():
