@@ -241,7 +241,7 @@ def decode_graph(code: GraphCode) -> CayleyGraph:
         if pos == end:
             break
         t = tokens[pos]
-        if not (isinstance(t, tuple) and t[0] == "lbl"):
+        if not (isinstance(t, tuple) and len(t) == 2 and t[0] == "lbl"):
             raise ParseError(f"expected a label, got {t!r} (token {pos})")
         if t[1] not in alphabet:
             raise ParseError(f"label {t[1]!r} outside the alphabet (token {pos})")

@@ -17,15 +17,19 @@ first for both ``canonicalize`` and ``disk_around``.  So in a canonical
 graph ``len(name)`` is the vertex's distance from the pointer, and
 callers read distances off name lengths instead of searching.
 
-Vertex names come in three kinds:
+``PortGraph`` treats vertex names as opaque hashables.  Three kinds
+occur:
 
 * a word: tuple of (out_port, in_port) pairs, as produced by
   ``canonicalize`` -- the empty tuple is the pointer;
 * a name set: frozenset of (word, suffix) elements, used by rewriting
   rule images, where suffix 0 stands for "the vertex itself" and
-  suffixes 1..s address fresh successors; distinct vertices of one
-  graph must use disjoint name sets;
+  suffixes 1..s address fresh successors;
 * anything else hashable (typically a string) for scratch graphs.
+
+Only two places look inside name sets.  ``rules.check_image`` keeps the
+name sets of one image disjoint, and the glue (``consistent`` and
+``glue_all``) merges vertices whose name sets share an element.
 """
 from __future__ import annotations
 
@@ -45,10 +49,6 @@ class GraphError(Exception):
 
 
 class PortConflict(GraphError):
-    pass
-
-
-class NameSetOverlap(GraphError):
     pass
 
 
@@ -81,40 +81,31 @@ class PortGraph:
     def __init__(self, degree, vertices, edges, labels):
         if degree < 1:
             raise GraphError("degree must be at least 1")
-        self.degree = int(degree)
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(frozenset(e) for e in edges)
+        self.degree = degree = int(degree)
+        self.vertices = vertices = frozenset(vertices)
+        self.edges = frozenset(map(frozenset, edges))
         self._labels = dict(labels)
         self._hash = None
-        self._ports = None
-        self._validate()
-
-    def _validate(self):
-        if set(self._labels) != self.vertices:
-            missing = self.vertices - set(self._labels)
-            extra = set(self._labels) - self.vertices
+        if self._labels.keys() != vertices:
+            missing = vertices - self._labels.keys()
+            extra = self._labels.keys() - vertices
             raise GraphError(f"labels must cover vertices exactly "
                              f"(missing {len(missing)}, extra {len(extra)})")
-        seen_slots = set()
+        pm = {}
         for e in self.edges:
             if len(e) != 2:
                 raise GraphError(f"edge must join two distinct port slots: {sorted(e, key=repr)}")
             for (v, p) in e:
-                if v not in self.vertices:
+                if v not in vertices:
                     raise GraphError(f"edge endpoint {v!r} is not a vertex")
-                if not (1 <= p <= self.degree):
-                    raise GraphError(f"port {p} out of range 1..{self.degree}")
-                if (v, p) in seen_slots:
+                if not (1 <= p <= degree):
+                    raise GraphError(f"port {p} out of range 1..{degree}")
+                if (v, p) in pm:
                     raise PortConflict(f"port {p} of {v!r} used by two edges")
-                seen_slots.add((v, p))
-        # name sets of distinct vertices must not share elements
-        owner = {}
-        for v in self.vertices:
-            if isinstance(v, frozenset):
-                for elem in v:
-                    if elem in owner:
-                        raise NameSetOverlap(f"element {elem!r} appears in two vertex name sets")
-                    owner[elem] = v
+            a, b = e
+            pm[a] = b
+            pm[b] = a
+        self._ports = pm
 
     def label(self, v):
         return self._labels[v]
@@ -125,13 +116,6 @@ class PortGraph:
 
     def port_map(self):
         """dict (vertex, port) -> (other vertex, other port), both directions."""
-        if self._ports is None:
-            pm = {}
-            for e in self.edges:
-                (u, i), (v, j) = e
-                pm[(u, i)] = (v, j)
-                pm[(v, j)] = (u, i)
-            self._ports = pm
         return self._ports
 
     def __eq__(self, other):
@@ -339,121 +323,83 @@ class Consistency:
     witness: str | None = None
 
 
-class _Merge:
-    """Union-find over vertex handles, merging vertices that share a name.
+def _classes(graphs) -> dict:
+    """Union-find over name elements: each vertex's name set is one class.
 
-    Name-set vertices are identified when their sets intersect; other
-    vertices are identified when their names are equal.  Used by
-    ``consistent`` and ``glue_all``.
+    Every distinct name set opens a node.  Its elements not seen before
+    point at that node, and the classes of the elements already seen are
+    joined to it.  Returns each vertex's class as the id of its root, so
+    two vertices share a class exactly when a chain of name sets sharing
+    elements links them.
     """
+    owner = {}  # element -> node of the first name set holding it
+    parent = []
 
-    def __init__(self):
-        self.parent = {}
-        self.cross = False
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    def _find(self, h):
-        p = self.parent
-        root = h
-        while p[root] != root:
-            root = p[root]
-        while p[h] != root:
-            p[h], h = root, p[h]
-        return root
+    node = {}
+    for g in graphs:
+        for v in g.vertices:
+            if v in node:
+                continue  # an equal name set adds no element
+            root = node[v] = len(parent)
+            parent.append(root)
+            for e in v:
+                i = find(owner.setdefault(e, root))
+                if i != root:
+                    parent[i] = root
+    return {v: find(i) for v, i in node.items()}
 
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
-    def add_graphs(self, graphs):
-        key_owner = {}
-        for gi, g in enumerate(graphs):
-            for v in g.vertices:
-                h = (gi, v)
-                self.parent.setdefault(h, h)
-                keys = v if isinstance(v, frozenset) else (("=", v),)
-                for k in keys:
-                    if k in key_owner:
-                        other = key_owner[k]
-                        if other[0] != gi and self._find(other) != self._find(h):
-                            self.cross = True
-                        self._union(other, h)
-                    else:
-                        key_owner[k] = h
-
-    def check(self, graphs):
-        """Label agreement and single use of every port across the merge."""
-        label_of = {}
-        for gi, g in enumerate(graphs):
-            for v in g.vertices:
-                root = self._find((gi, v))
-                lab = g.label(v)
-                if root in label_of and label_of[root] != lab:
-                    return Consistency(False, self.cross,
-                                       f"label clash on shared vertex: {label_of[root]!r} vs {lab!r}")
-                label_of[root] = lab
-        port_use = {}
-        for gi, g in enumerate(graphs):
-            for e in g.edges:
-                (u, i), (v, j) = tuple(e)
-                ru, rv = self._find((gi, u)), self._find((gi, v))
-                if ru == rv and i == j:
-                    return Consistency(False, self.cross,
-                                       f"edge collapses onto a single port slot ({i})")
-                for (a, pa, b, pb) in ((ru, i, rv, j), (rv, j, ru, i)):
-                    tgt = (b, pb)
-                    prev = port_use.get((a, pa))
-                    if prev is not None and prev != tgt:
-                        return Consistency(False, self.cross,
-                                           f"port {pa} double-booked on a shared vertex")
-                    port_use[(a, pa)] = tgt
-        return Consistency(True, self.cross)
-
-    def merged_graph(self, graphs, degree):
-        members = {}
-        for gi, g in enumerate(graphs):
-            for v in g.vertices:
-                members.setdefault(self._find((gi, v)), []).append((gi, v))
-        names, labels = {}, {}
-        for root, handles in members.items():
-            vs = [v for (_, v) in handles]
-            if all(isinstance(v, frozenset) for v in vs):
-                name = frozenset().union(*vs)
-            else:
-                name = vs[0]
-            names[root] = name
-            gi, v = handles[0]
-            labels[name] = graphs[gi].label(v)
-        edges = set()
-        for gi, g in enumerate(graphs):
-            for e in g.edges:
-                (u, i), (v, j) = tuple(e)
-                edges.add(frozenset(((names[self._find((gi, u))], i),
-                                     (names[self._find((gi, v))], j))))
-        return PortGraph(degree, names.values(), edges, labels)
+def _clash(graphs, cls):
+    """Why the vertices of one class cannot be a single vertex, or None."""
+    label_of = {}
+    for g in graphs:
+        for v, lab in g.labels.items():
+            c = cls[v]
+            if label_of.setdefault(c, lab) != lab:
+                return f"label clash on shared vertex: {label_of[c]!r} vs {lab!r}"
+    port_use = {}
+    for g in graphs:
+        for (u, i), (v, j) in g.edges:
+            cu, cv = cls[u], cls[v]
+            if cu == cv and i == j:
+                return f"edge collapses onto a single port slot ({i})"
+            for slot, tgt in (((cu, i), (cv, j)), ((cv, j), (cu, i))):
+                if port_use.setdefault(slot, tgt) != tgt:
+                    return f"port {slot[1]} double-booked on a shared vertex"
+    return None
 
 
 def consistent(g: PortGraph, h: PortGraph) -> Consistency:
     """Do g and h agree wherever they share vertices?
 
-    Shared means equal names, or intersecting name sets (such vertices
-    denote one vertex once glued).  Agreement requires equal labels and
-    no port carrying two different edges.  ``nonempty`` reports whether
-    any vertex is actually shared; consistency with an empty overlap is
-    trivial.
+    Vertices are name sets, and two are shared when their sets intersect
+    (such vertices denote one vertex once glued).  Agreement requires
+    equal labels and no port carrying two different edges.  ``nonempty``
+    reports whether the element sets of g and h intersect; consistency
+    with an empty overlap is trivial.
     """
     if g.degree != h.degree:
         return Consistency(False, False, "port counts differ")
-    m = _Merge()
-    m.add_graphs([g, h])
-    return m.check([g, h])
+    cls = _classes([g, h])
+    # a chain of name sets from a vertex of g to one of h passes an element of both
+    nonempty = not {cls[v] for v in g.vertices}.isdisjoint([cls[v] for v in h.vertices])
+    witness = _clash([g, h], cls)
+    return Consistency(witness is None, nonempty, witness)
 
 
 def glue_all(parts) -> PortGraph:
-    """Merge consistent graphs, gluing shared vertices; order does not matter.
+    """Merge consistent graphs, gluing vertices whose name sets intersect.
 
-    Merged vertices carry the union of their name sets; this is what
-    makes per-vertex rule images reassemble into one graph.
+    Order does not matter.  A merged vertex carries the union of its name
+    sets; this is what makes per-vertex rule images reassemble into one
+    graph.  Distinct classes hold disjoint elements, so the result's name
+    sets are disjoint again.
     """
     parts = list(parts)
     if not parts:
@@ -461,9 +407,15 @@ def glue_all(parts) -> PortGraph:
     degree = parts[0].degree
     if any(p.degree != degree for p in parts):
         raise InconsistentUnion("port counts differ")
-    m = _Merge()
-    m.add_graphs(parts)
-    verdict = m.check(parts)
-    if not verdict.ok:
-        raise InconsistentUnion(verdict.witness)
-    return m.merged_graph(parts, degree)
+    cls = _classes(parts)
+    witness = _clash(parts, cls)
+    if witness is not None:
+        raise InconsistentUnion(witness)
+    members = {}
+    for v, c in cls.items():
+        members.setdefault(c, []).append(v)
+    name = {c: frozenset().union(*vs) for c, vs in members.items()}
+    labels = {name[cls[v]]: lab for g in parts for v, lab in g.labels.items()}
+    edges = {frozenset(((name[cls[u]], i), (name[cls[v]], j)))
+             for g in parts for (u, i), (v, j) in g.edges}
+    return PortGraph(degree, name.values(), edges, labels)

@@ -94,7 +94,7 @@ def check_image(p: RuleParams, d: Disk, img: PortGraph):
     if len(img.vertices) > p.bound:
         raise ImageTooLarge(f"{len(img.vertices)} vertices exceed the bound {p.bound}")
     source_names = d.graph.vertices
-    seen_eps = False
+    seen = set()
     for v in img.vertices:
         if not isinstance(v, frozenset) or not v:
             raise InvalidImageName(f"image vertex {v!r} is not a nonempty name set")
@@ -104,11 +104,12 @@ def check_image(p: RuleParams, d: Disk, img: PortGraph):
                     or not isinstance(elem[1], int)
                     or not 0 <= elem[1] <= p.suffix_count):
                 raise InvalidImageName(f"element {elem!r} not addressable from this disk")
-        if EPS_ELEM in v:
-            seen_eps = True
+            if elem in seen:
+                raise InvalidImageName(f"element {elem!r} appears in two image vertices")
+            seen.add(elem)
         if img.label(v) not in p.labels:
             raise RuleError(f"image label {img.label(v)!r} outside the rule alphabet")
-    if not seen_eps:
+    if EPS_ELEM not in seen:
         raise MissingEpsilon("no image vertex claims the disk center")
 
 

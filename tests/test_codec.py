@@ -121,6 +121,9 @@ def test_decode_rejects_malformed_records():
         parse_tokens("$7;", alph)  # label index past the alphabet
     with pytest.raises(ParseError):
         decode_graph(toks("$0(1,1);"))  # self-loop start and end on one slot
+    for label in ((), ("lbl",)):  # label tokens parse_tokens never makes
+        with pytest.raises(ParseError, match=r"\(token 1\)"):
+            decode_graph(GraphCode(2, alph, ("$", label)))
 
 
 def _mutated_codes(n, seed):

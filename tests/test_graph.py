@@ -10,6 +10,8 @@ from conftest import (
     layered_min_names,
     rename_by,
 )
+from oracle import consistent as oracle_consistent
+from oracle import glue_all as oracle_glue_all
 
 from cgd.corpus import (
     cycle_graph,
@@ -29,7 +31,6 @@ from cgd.graph import (
     DyadicDistance,
     GraphError,
     InconsistentUnion,
-    NameSetOverlap,
     NoSuchPath,
     PortConflict,
     PortGraph,
@@ -44,6 +45,8 @@ from cgd.graph import (
     shift,
     walk,
 )
+from cgd.library import identity_rule, inflating_grid_rule, xor_label_rule
+from cgd.rules import _normalized_image
 
 
 def test_inverse_word_involution():
@@ -83,13 +86,6 @@ def test_port_range_and_degree_checked():
         PortGraph(2, ["a", "b"], [(("a", 3), ("b", 1))], {"a": 0, "b": 0})
     with pytest.raises(GraphError):
         PortGraph(0, ["a"], [], {"a": 0})
-
-
-def test_name_set_vertices_must_be_disjoint():
-    u = frozenset({((), 0), (((1, 1),), 0)})
-    v = frozenset({(((1, 1),), 0), (((2, 2),), 1)})
-    with pytest.raises(NameSetOverlap):
-        PortGraph(2, [u, v], [], {u: 0, v: 0})
 
 
 def test_degenerate_edge_rejected():
@@ -421,6 +417,91 @@ def test_glue_all_order_independent():
         random.Random(seed).shuffle(shuffled)
         assert glue_all(shuffled) == ref
     assert len(ref.vertices) == 1
+
+
+# --- the glue against its frozen predecessor ---------------------------------
+
+def _mutant_part(g, parts, rng):
+    """``g`` with one change, or None when that change cannot be built.
+
+    The change flips a label, moves an edge onto a slot that another
+    part uses, or merges two vertices into one carrying both name sets.
+    """
+    vs = sorted(g.vertices, key=name_key)
+    labels, edges = dict(g.labels), [tuple(e) for e in g.edges]
+    kind = rng.choice(("label", "edge", "merge"))
+    if kind == "label":
+        v = rng.choice(vs)
+        labels[v] ^= 1
+        return PortGraph(g.degree, vs, edges, labels)
+    if kind == "edge":
+        used = {(e, p) for h in parts for edge in h.edges for (v, p) in edge for e in v}
+        free = [(v, p) for v in vs for p in range(1, g.degree + 1)
+                if (v, p) not in g.port_map() and any((e, p) in used for e in v)]
+        if not edges or not free:
+            return None
+        kept, _ = edges.pop(rng.randrange(len(edges)))
+        edges.append((kept, rng.choice(free)))
+        return PortGraph(g.degree, vs, edges, labels)
+    pairs = [(u, v) for u in vs for v in vs if name_key(u) < name_key(v)]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        name = {w: u | v if w in (u, v) else w for w in vs}
+        try:
+            return PortGraph(g.degree, name.values(),
+                             [((name[a], i), (name[b], j)) for (a, i), (b, j) in edges],
+                             {name[w]: labels[w] for w in vs})
+        except GraphError:  # the two vertices use one port, or an edge joins them on it
+            continue
+    return None
+
+
+def _glued(glue, parts):
+    try:
+        return glue(parts)
+    except InconsistentUnion:
+        return InconsistentUnion
+
+
+def test_glue_agrees_with_the_frozen_oracle():
+    """Rule images, whole and with one part changed or dropped, glue alike."""
+    cases = [
+        (identity_rule(2, (0, 1)), dict(degree=2, alphabet=(0, 1))),
+        (identity_rule(3, (0, 1)), dict(degree=3, alphabet=(0, 1))),
+        (xor_label_rule(2), dict(degree=2, alphabet=(0, 1))),
+        (inflating_grid_rule(), dict(degree=4, alphabet=(0,))),
+    ]
+    rng = random.Random(5)
+    glued, verdicts = [], set()
+    for rule, kw in cases:
+        reach = 2 * rule.radius + 2
+        for seed in range(4):
+            x = random_graph(seed, size=7, **kw)
+            centres = sorted(x.vertices, key=name_key)
+            parts = [_normalized_image(rule, x, u) for u in centres]
+            dist = [bfs_distances(x, u) for u in centres]
+            near = [[m for m, w in enumerate(centres) if 0 < du[w] <= reach] for du in dist]
+            inputs = [(parts, [(k, m) for k in range(len(parts)) for m in near[k]])]
+            for _ in range(8):
+                k = rng.randrange(len(parts))
+                if rng.random() < 0.2:
+                    inputs.append((parts[:k] + parts[k + 1:], []))
+                    continue
+                part = _mutant_part(parts[k], parts, rng)
+                if part is not None:
+                    changed = parts[:k] + [part] + parts[k + 1:]
+                    inputs.append((changed, [(k, m) for m in near[k]]))
+            for ps, pairs in inputs:
+                got = _glued(glue_all, ps)
+                assert got == _glued(oracle_glue_all, ps)
+                glued.append(got is InconsistentUnion)
+                for k, m in pairs:
+                    new, old = consistent(ps[k], ps[m]), oracle_consistent(ps[k], ps[m])
+                    assert (new.ok, new.nonempty) == (old.ok, old.nonempty)
+                    verdicts.add((new.ok, new.nonempty))
+    # the inputs reach every outcome of both functions
+    assert 0 < sum(glued) < len(glued)
+    assert verdicts == {(True, True), (True, False), (False, True)}
 
 
 # --- path language sanity ----------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from cgd.codec import BudgetExceeded
+from cgd.codec import BudgetExceeded, rank_image
 from cgd.corpus import cycle_graph, divergent_pair, grid_graph, random_graph, sample_graph
 from cgd.graph import (
     EPSILON,
@@ -82,6 +82,33 @@ def test_bad_images_are_rejected_at_table_construction():
         table_with(PortGraph(2, ["raw"], [], {"raw": 0}))
     with pytest.raises(RuleError):
         table_with(PortGraph(2, [eps], [], {eps: 9}))  # label off-alphabet
+
+
+def _identity_with_overlapping_stub():
+    """The identity rule, but the first stub also claims the disk center."""
+    base = identity_rule(2, (0, 1))
+
+    def fn(d):
+        img = base.fn(d)
+        stub = min((v for v in img.vertices if (EPSILON, 0) not in v), key=name_key)
+        names = {v: v | {(EPSILON, 0)} if v == stub else v for v in img.vertices}
+        edges = [((names[u], i), (names[v], j)) for (u, i), (v, j) in img.edges]
+        return PortGraph(2, names.values(), edges,
+                         {names[v]: img.label(v) for v in img.vertices})
+
+    return LocalRule(base.params, fn=fn)
+
+
+def test_image_name_sets_must_be_disjoint():
+    rule = _identity_with_overlapping_stub()
+    d = disk(cycle_graph(4), 1)
+    with pytest.raises(InvalidImageName, match="two image vertices"):
+        rule.image(d)
+    with pytest.raises(InvalidImageName, match="two image vertices"):
+        rank_image(rule.params, d, rule.fn(d))
+    report = validate_local_rule(rule, samples=5, seed=0)
+    assert not report.ok and not report.bound_ok
+    assert all("two image vertices" in w for w in report.witnesses)
 
 
 def test_partial_hole_carries_the_vertex():
