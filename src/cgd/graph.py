@@ -330,7 +330,9 @@ def _classes(graphs) -> dict:
     point at that node, and the classes of the elements already seen are
     joined to it.  Returns each vertex's class as the id of its root, so
     two vertices share a class exactly when a chain of name sets sharing
-    elements links them.
+    elements links them.  A vertex whose name is not a name set raises
+    GraphError, since reading it as one would glue on its characters or
+    items.
     """
     owner = {}  # element -> node of the first name set holding it
     parent = []
@@ -346,6 +348,8 @@ def _classes(graphs) -> dict:
         for v in g.vertices:
             if v in node:
                 continue  # an equal name set adds no element
+            if not isinstance(v, frozenset):
+                raise GraphError(f"vertex {v!r} is not a name set, so it cannot be glued")
             root = node[v] = len(parent)
             parent.append(root)
             for e in v:

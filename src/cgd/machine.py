@@ -18,13 +18,29 @@ The stack holds one cell per pair walked, plus a mark per vertex
 built.  A backedge with k bars runs the backtrack arm backwards
 through k mark-to-mark segments, which lands it on the k-th previously
 built vertex, matching what the bars mean in the code.
+
+A run holds its world as one mutable port table.  Each step reads the
+table around the machine, then applies its edit record (vertices,
+edges and relabels added or removed) to the table in place, so a step
+costs in proportion to its radius-2 edit, not to the world.  The worlds
+``trace`` yields are snapshots all the same: the newest one owns the
+table, each older one keeps the undo record of the step that left it,
+and ``MachineWorld.graph`` is built from them on first read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .codec import GraphCode, RuleDescription, decode_rule, encode_rule, is_pair
-from .graph import CayleyGraph, Disk, PortGraph, canonicalize, distance
+from .graph import (
+    CayleyGraph,
+    Disk,
+    GraphError,
+    PortConflict,
+    PortGraph,
+    canonicalize,
+    distance,
+)
 from .rules import LocalRule, PartialRuleHole, RuleParams, apply_rule
 
 
@@ -146,11 +162,155 @@ def check_intrinsic_simulation(f: LocalRule, x: CayleyGraph, steps: int,
 # --- the machine itself ------------------------------------------------------
 
 PLACEHOLDER = ("P",)
+_ABSENT = object()  # the old value, in an undo record, of a key the edit created
 
 
-@dataclass(frozen=True)
+class _PortTable:
+    """A port graph as two mutable dicts, edited in place.
+
+    ``labels`` maps each vertex to its label, and ``ports`` maps each used
+    slot (vertex, port) to the slot at the other end of its edge, both
+    ways round.  ``apply`` checks only what an edit touches, with the
+    ``PortGraph`` constructor's error types, and returns the edit's undo
+    record.  An edit that fails is undone before its error propagates.
+    """
+
+    __slots__ = ("degree", "labels", "ports")
+
+    def __init__(self, degree, labels, ports):
+        self.degree = degree
+        self.labels = labels
+        self.ports = ports
+
+    @classmethod
+    def of(cls, g: PortGraph) -> _PortTable:
+        return cls(g.degree, dict(g.labels), dict(g.port_map()))
+
+    def copy(self) -> _PortTable:
+        return _PortTable(self.degree, dict(self.labels), dict(self.ports))
+
+    def graph(self) -> PortGraph:
+        edges = {frozenset(slots) for slots in self.ports.items()}
+        return PortGraph(self.degree, self.labels, edges, self.labels)
+
+    def apply(self, *, add_vertices=(), del_vertices=(), add_edges=(), del_edges=(),
+              relabel=()) -> list:
+        """Delete edges, then vertices with their edges; add vertices, then
+        edges; relabel.  Returns the undo record."""
+        labels, ports, degree = self.labels, self.ports, self.degree
+        undo = []  # (is a port key, key, old value or _ABSENT), in write order
+
+        def put(d, key, value):
+            undo.append((d is ports, key, d.get(key, _ABSENT)))
+            d[key] = value
+
+        def drop_edge(a):
+            b = ports.pop(a)
+            undo.append((True, a, b))
+            undo.append((True, b, ports.pop(b)))
+
+        def check_vertex(v):
+            if v not in labels:
+                raise GraphError(f"{v!r} is not a vertex")
+
+        try:
+            for a, b in del_edges:
+                if ports.get(a) != b:
+                    raise GraphError(f"no edge joins {a!r} and {b!r}")
+                drop_edge(a)
+            for v in del_vertices:
+                check_vertex(v)
+                for p in range(1, degree + 1):
+                    if (v, p) in ports:
+                        drop_edge((v, p))
+                undo.append((False, v, labels.pop(v)))
+            for v, lbl in add_vertices:
+                if v in labels:
+                    raise GraphError(f"vertex {v!r} already exists")
+                put(labels, v, lbl)
+            for a, b in add_edges:
+                if a == b:
+                    raise GraphError(f"edge must join two distinct port slots: {a!r}")
+                for v, p in (a, b):
+                    if v not in labels:
+                        raise GraphError(f"edge endpoint {v!r} is not a vertex")
+                    if not 1 <= p <= degree:
+                        raise GraphError(f"port {p} out of range 1..{degree}")
+                    if (v, p) in ports:
+                        raise PortConflict(f"port {p} of {v!r} used by two edges")
+                put(ports, a, b)
+                put(ports, b, a)
+            for v, lbl in relabel:
+                check_vertex(v)
+                put(labels, v, lbl)
+        except BaseException:  # whatever stopped the edit, leave the table as it was
+            self.revert(undo)
+            raise
+        return undo
+
+    def revert(self, undo):
+        """Take back an edit: restore each key it wrote, latest write first."""
+        for is_port, key, old in reversed(undo):
+            d = self.ports if is_port else self.labels
+            if old is _ABSENT:
+                del d[key]
+            else:
+                d[key] = old
+
+
+class _Version:
+    """One world's state: the run's port table, or the way back from it.
+
+    A step hands the table on from its world's version to a new one, and
+    leaves behind the undo record of its edit and a link to the newer
+    version (Baker's version nodes, never rerooted).  Links run from
+    older to newer, so an old world's record is freed with the world.
+    ``graph`` caches the snapshot; a version holding it keeps no record.
+    """
+
+    __slots__ = ("table", "undo", "newer", "graph")
+
+    def __init__(self, table: _PortTable, graph: PortGraph = None):
+        self.table = table
+        self.undo = self.newer = None
+        self.graph = graph
+
+    def advance(self, edits: dict) -> _Version:
+        """Apply an edit record to the table and hand the table on."""
+        undo = self.table.apply(**edits)
+        new = _Version(self.table)
+        if self.graph is None:
+            self.undo, self.newer = undo, new
+        self.table = None
+        return new
+
+    def snapshot(self) -> PortGraph:
+        """This version's graph: the table, rolled back through newer versions' records."""
+        if self.graph is None:
+            undos, v = [], self
+            while v.table is None and v.graph is None:
+                undos.append(v.undo)
+                v = v.newer
+            if v.graph is not None:
+                t = _PortTable.of(v.graph)
+            elif undos:
+                t = v.table.copy()
+            else:
+                t = v.table  # the newest version reads the live table
+            for undo in reversed(undos):
+                t.revert(undo)
+            self.graph = t.graph()
+            self.undo = self.newer = None
+        return self.graph
+
+
+@dataclass(frozen=True, eq=False)
 class MachineWorld:
-    graph: PortGraph
+    """One world of a run, fixed once made, however the run goes on.
+
+    Worlds are equal when their graphs and counters are.
+    """
+    _version: _Version = field(repr=False)
     machine: object          # machine vertex, or None once it deleted itself
     root: object             # first built vertex, or None before it exists
     port_count: int          # natural ports of the graph under construction
@@ -158,8 +318,24 @@ class MachineWorld:
     steps: int = 0
 
     @property
+    def graph(self) -> PortGraph:
+        """The world as a port graph, built on first read."""
+        return self._version.snapshot()
+
+    @property
     def done(self) -> bool:
         return self.machine is None
+
+    def _counters(self):
+        return (self.machine, self.root, self.port_count, self.fresh, self.steps)
+
+    def __eq__(self, other):
+        if not isinstance(other, MachineWorld):
+            return NotImplemented
+        return self._counters() == other._counters() and self.graph == other.graph
+
+    def __hash__(self):
+        return hash(self._counters())
 
 
 def world_port_count(d: int) -> int:
@@ -183,49 +359,24 @@ def build_machine_world(code: GraphCode, desc: RuleDescription) -> MachineWorld:
         edges.append((("M", 1), (tid, 1)) if prev is None else ((prev, 2), (tid, 1)))
         prev = tid
     g = PortGraph(wp, vertices.keys(), edges, vertices)
-    return MachineWorld(graph=g, machine="M", root=None, port_count=d)
-
-
-def _rebuild(g, *, add_vertices=(), del_vertices=(), add_edges=(), del_edges=(),
-             relabel=()):
-    verts = set(g.vertices)
-    labels = dict(g.labels)
-    edges = set(g.edges)
-    for e in del_edges:
-        edges.discard(frozenset(e))
-    pm = g.port_map()
-    for v in del_vertices:
-        verts.discard(v)
-        labels.pop(v, None)
-        for p in range(1, g.degree + 1):
-            hit = pm.get((v, p))
-            if hit is not None:
-                edges.discard(frozenset(((v, p), hit)))
-    for v, lbl in add_vertices:
-        verts.add(v)
-        labels[v] = lbl
-    for e in add_edges:
-        edges.add(frozenset(e))
-    for v, lbl in relabel:
-        labels[v] = lbl
-    return PortGraph(g.degree, verts, edges, labels)
+    return MachineWorld(_Version(_PortTable.of(g), g), machine="M", root=None, port_count=d)
 
 
 def machine_step(w: MachineWorld) -> MachineWorld:
     if w.machine is None:
         raise MalformedWorld("the machine already left this world")
-    g = w.graph
+    ver = w._version
+    if ver.table is None:  # an older world steps again: go on from a fresh table
+        g = w.graph
+        ver = _Version(_PortTable.of(g), g)
+    labels, ports = ver.table.labels, ver.table.ports
     M = w.machine
-    pm = g.port_map()
     d = w.port_count
     h1, h2 = d + 1, d + 2
-    _, phase, arg = g.label(M)
-
-    def port(v, p):
-        return pm.get((v, p))
+    _, phase, arg = labels[M]
 
     def token_at(slot):
-        lbl = g.label(slot[0])
+        lbl = labels[slot[0]]
         if lbl[0] != "tok":
             raise MalformedWorld("tape port leads to something that is not a token")
         return lbl[1]
@@ -233,20 +384,20 @@ def machine_step(w: MachineWorld) -> MachineWorld:
     def consume(slot):
         """Edits deleting the head token and pulling the tape closer."""
         t = slot[0]
-        nxt = port(t, 2)
+        nxt = ports.get((t, 2))
         add = [(("M", 1), (nxt[0], 1))] if nxt else []
         return {"del_vertices": [t], "add_edges": add}
 
     def moved(phase2, arg2=None, **edits):
         relabels = list(edits.pop("relabel", ()))
         relabels.append((M, ("M", phase2, arg2)))
-        g2 = _rebuild(g, relabel=relabels, **edits)
-        return replace(w, graph=g2, steps=w.steps + 1)
+        return replace(w, _version=ver.advance({**edits, "relabel": relabels}),
+                       steps=w.steps + 1)
 
     def push_cells(payloads, base):
         """Edits stacking new cells above the current top, bottom first."""
         add_v, add_e, del_e = [], [], []
-        top = port(M, 5)
+        top = ports.get((M, 5))
         for k, payload in enumerate(payloads):
             cid = f"c{base + k}"
             add_v.append((cid, ("cell", payload)))
@@ -258,12 +409,12 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         add_e.append((("M", 5), top))
         return {"add_vertices": add_v, "add_edges": add_e, "del_edges": del_e}
 
-    head = port(M, 1)
+    head = ports.get((M, 1))
 
     if phase == "read-sep":
         if head is None:
-            a3 = port(M, 3)
-            if a3 is not None and g.label(a3[0]) == PLACEHOLDER:
+            a3 = ports.get((M, 3))
+            if a3 is not None and labels[a3[0]] == PLACEHOLDER:
                 raise MalformedWorld("a fresh vertex never got its word")
             return moved("finish")
         tok = token_at(head)
@@ -277,10 +428,10 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         tok = token_at(head)
         if not (isinstance(tok, tuple) and tok[0] == "lbl"):
             raise MalformedWorld(f"expected a label, found {tok!r}")
-        desc = g.label(port(M, 2)[0])[1]
+        desc = labels[ports.get((M, 2))[0]][1]
         stamp = SimLabel(tok[1], desc)
         edits = consume(head)
-        a3 = port(M, 3)
+        a3 = ports.get((M, 3))
         if a3 is None:
             rid = f"n{w.fresh}"
             edits["add_vertices"] = [(rid, stamp)]
@@ -291,7 +442,7 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             out = moved("read-back", **edits)
             return replace(out, root=rid, fresh=w.fresh + 2)
         v = a3[0]
-        if g.label(v) != PLACEHOLDER:
+        if labels[v] != PLACEHOLDER:
             raise MalformedWorld("word tries to relabel a finished vertex")
         edits["relabel"] = [(v, stamp)]
         return moved("read-back", **edits)
@@ -309,8 +460,8 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         raise MalformedWorld(f"expected a backedge or ';', found {tok!r}")
 
     if phase == "back-pending":
-        a3 = port(M, 3)
-        top = port(M, 5)
+        a3 = ports.get((M, 3))
+        top = ports.get((M, 5))
         if a3 is None or top is None:
             raise MalformedWorld("backedge with nothing built yet")
         return moved("back-count",
@@ -327,19 +478,19 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         raise MalformedWorld(f"expected bars, a pair or ';', found {tok!r}")
 
     if phase == "walk-seg":
-        reader = port(M, 6)[0]
-        below = port(reader, 2)
+        reader = ports.get((M, 6))[0]
+        below = ports.get((reader, 2))
         if below is None:
             raise MalformedWorld("backtrack walks below the first vertex")
         cell = below[0]
-        payload = g.label(cell)[1]
+        payload = labels[cell][1]
         edits = {"del_edges": [(("M", 6), (reader, 3))],
                  "add_edges": [(("M", 6), (cell, 3))]}
         if payload == "MARK":
             return moved("back-count", **edits)
         s, t = payload
-        v4 = port(M, 4)[0]
-        hit = port(v4, t)
+        v4 = ports.get((M, 4))[0]
+        hit = ports.get((v4, t))
         if hit is None or hit[1] != s:
             raise MalformedWorld("stack pair does not match the built graph")
         y = hit[0]
@@ -349,18 +500,18 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         return moved("walk-seg", **edits)
 
     if phase == "place-back":
-        pair = g.label("buf")[1]
+        pair = labels["buf"][1]
         if pair is None:
             raise MalformedWorld("no pair buffered for the backedge")
         i, j = pair
-        v3 = port(M, 3)[0]
-        v4 = port(M, 4)[0]
-        reader = port(M, 6)[0]
+        v3 = ports.get((M, 3))[0]
+        v4 = ports.get((M, 4))[0]
+        reader = ports.get((M, 6))[0]
         if not (1 <= i <= d and 1 <= j <= d):
             raise MalformedWorld(f"backedge uses port outside 1..{d}")
         if v3 == v4 and i == j:
             raise MalformedWorld("an edge cannot start and end on one port slot")
-        if port(v3, i) is not None or port(v4, j) is not None:
+        if ports.get((v3, i)) is not None or ports.get((v4, j)) is not None:
             raise MalformedWorld("backedge port already carries an edge")
         return moved("read-back",
                      add_edges=[((v3, i), (v4, j))],
@@ -380,8 +531,8 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         s, t = arg
         if not (1 <= s <= d and 1 <= t <= d):
             raise MalformedWorld(f"path pair uses port outside 1..{d}")
-        v3 = port(M, 3)[0]
-        hit = port(v3, s)
+        v3 = ports.get((M, 3))[0]
+        hit = ports.get((v3, s))
         if hit is not None:
             y, t2 = hit
             if t2 != t:
@@ -402,21 +553,21 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         return replace(out, fresh=w.fresh + 3)
 
     if phase == "finish":
-        top = port(M, 5)
+        top = ports.get((M, 5))
         if top is not None:
             cell = top[0]
-            below = port(cell, 2)
+            below = ports.get((cell, 2))
             add = [(("M", 5), below)] if below else []
             return moved("finish", del_vertices=[cell], add_edges=add)
-        if port(M, 7) is not None:
+        if ports.get((M, 7)) is not None:
             return moved("finish", del_vertices=["buf"])
-        if port(M, 2) is not None:
+        if ports.get((M, 2)) is not None:
             return moved("finish", del_vertices=["hold"])
-        a3 = port(M, 3)
+        a3 = ports.get((M, 3))
         if a3 is not None:
             return moved("finish", del_edges=[(("M", 3), a3)])
-        g2 = _rebuild(g, del_vertices=[M])
-        return replace(w, graph=g2, machine=None, steps=w.steps + 1)
+        return replace(w, _version=ver.advance({"del_vertices": [M]}), machine=None,
+                       steps=w.steps + 1)
 
     raise MalformedWorld(f"unknown machine phase {phase!r}")
 

@@ -11,9 +11,17 @@ vertex) handles.  The library's glue runs one union-find over name
 elements; the two must return equal graphs or both raise
 ``InconsistentUnion``, and give the same ``ok`` and ``nonempty``.
 
+``MachineWorld``, ``_rebuild`` and ``machine_step`` are the construction
+machine of ``cgd.machine`` as it stood at commit 85b266d: every step
+rebuilds the whole world as a new ``PortGraph``.  The library's machine
+edits one port table in place; both must pass through equal worlds,
+step for step.
+
 Do not edit these copies to follow the library.
 """
-from cgd.codec import DanglingBacktrack, GraphCode, ParseError, PortReuse
+from dataclasses import dataclass, replace
+
+from cgd.codec import DanglingBacktrack, GraphCode, ParseError, PortReuse, is_pair
 from cgd.graph import (
     CayleyGraph,
     Consistency,
@@ -22,6 +30,7 @@ from cgd.graph import (
     PortGraph,
     canonicalize,
 )
+from cgd.machine import PLACEHOLDER, MalformedWorld, SimLabel
 
 
 def decode_graph(code: GraphCode) -> CayleyGraph:
@@ -244,3 +253,252 @@ def glue_all(parts) -> PortGraph:
     if not verdict.ok:
         raise InconsistentUnion(verdict.witness)
     return m.merged_graph(parts, degree)
+
+
+@dataclass(frozen=True)
+class MachineWorld:
+    graph: PortGraph
+    machine: object          # machine vertex, or None once it deleted itself
+    root: object             # first built vertex, or None before it exists
+    port_count: int          # natural ports of the graph under construction
+    fresh: int = 0           # id counter for new vertices and stack cells
+    steps: int = 0
+
+    @property
+    def done(self) -> bool:
+        return self.machine is None
+
+
+def _rebuild(g, *, add_vertices=(), del_vertices=(), add_edges=(), del_edges=(),
+             relabel=()):
+    verts = set(g.vertices)
+    labels = dict(g.labels)
+    edges = set(g.edges)
+    for e in del_edges:
+        edges.discard(frozenset(e))
+    pm = g.port_map()
+    for v in del_vertices:
+        verts.discard(v)
+        labels.pop(v, None)
+        for p in range(1, g.degree + 1):
+            hit = pm.get((v, p))
+            if hit is not None:
+                edges.discard(frozenset(((v, p), hit)))
+    for v, lbl in add_vertices:
+        verts.add(v)
+        labels[v] = lbl
+    for e in add_edges:
+        edges.add(frozenset(e))
+    for v, lbl in relabel:
+        labels[v] = lbl
+    return PortGraph(g.degree, verts, edges, labels)
+
+
+def machine_step(w: MachineWorld) -> MachineWorld:
+    if w.machine is None:
+        raise MalformedWorld("the machine already left this world")
+    g = w.graph
+    M = w.machine
+    pm = g.port_map()
+    d = w.port_count
+    h1, h2 = d + 1, d + 2
+    _, phase, arg = g.label(M)
+
+    def port(v, p):
+        return pm.get((v, p))
+
+    def token_at(slot):
+        lbl = g.label(slot[0])
+        if lbl[0] != "tok":
+            raise MalformedWorld("tape port leads to something that is not a token")
+        return lbl[1]
+
+    def consume(slot):
+        """Edits deleting the head token and pulling the tape closer."""
+        t = slot[0]
+        nxt = port(t, 2)
+        add = [(("M", 1), (nxt[0], 1))] if nxt else []
+        return {"del_vertices": [t], "add_edges": add}
+
+    def moved(phase2, arg2=None, **edits):
+        relabels = list(edits.pop("relabel", ()))
+        relabels.append((M, ("M", phase2, arg2)))
+        g2 = _rebuild(g, relabel=relabels, **edits)
+        return replace(w, graph=g2, steps=w.steps + 1)
+
+    def push_cells(payloads, base):
+        """Edits stacking new cells above the current top, bottom first."""
+        add_v, add_e, del_e = [], [], []
+        top = port(M, 5)
+        for k, payload in enumerate(payloads):
+            cid = f"c{base + k}"
+            add_v.append((cid, ("cell", payload)))
+            if top is not None:
+                if k == 0:
+                    del_e.append((("M", 5), top))
+                add_e.append(((cid, 2), top))
+            top = (cid, 1)
+        add_e.append((("M", 5), top))
+        return {"add_vertices": add_v, "add_edges": add_e, "del_edges": del_e}
+
+    head = port(M, 1)
+
+    if phase == "read-sep":
+        if head is None:
+            a3 = port(M, 3)
+            if a3 is not None and g.label(a3[0]) == PLACEHOLDER:
+                raise MalformedWorld("a fresh vertex never got its word")
+            return moved("finish")
+        tok = token_at(head)
+        if tok != "$":
+            raise MalformedWorld(f"expected '$' on the tape, found {tok!r}")
+        return moved("read-label", **consume(head))
+
+    if phase == "read-label":
+        if head is None:
+            raise MalformedWorld("tape ended inside a word")
+        tok = token_at(head)
+        if not (isinstance(tok, tuple) and tok[0] == "lbl"):
+            raise MalformedWorld(f"expected a label, found {tok!r}")
+        desc = g.label(port(M, 2)[0])[1]
+        stamp = SimLabel(tok[1], desc)
+        edits = consume(head)
+        a3 = port(M, 3)
+        if a3 is None:
+            rid = f"n{w.fresh}"
+            edits["add_vertices"] = [(rid, stamp)]
+            edits["add_edges"] = edits.get("add_edges", []) + [(("M", 3), (rid, h1))]
+            mark = push_cells(["MARK"], w.fresh + 1)
+            edits["add_vertices"] += mark["add_vertices"]
+            edits["add_edges"] += mark["add_edges"]
+            out = moved("read-back", **edits)
+            return replace(out, root=rid, fresh=w.fresh + 2)
+        v = a3[0]
+        if g.label(v) != PLACEHOLDER:
+            raise MalformedWorld("word tries to relabel a finished vertex")
+        edits["relabel"] = [(v, stamp)]
+        return moved("read-back", **edits)
+
+    if phase == "read-back":
+        if head is None:
+            raise MalformedWorld("tape ended inside a word")
+        tok = token_at(head)
+        if tok == ";":
+            return moved("read-path", **consume(head))
+        if is_pair(tok):
+            edits = consume(head)
+            edits["relabel"] = [("buf", ("buf", tok))]
+            return moved("back-pending", **edits)
+        raise MalformedWorld(f"expected a backedge or ';', found {tok!r}")
+
+    if phase == "back-pending":
+        a3 = port(M, 3)
+        top = port(M, 5)
+        if a3 is None or top is None:
+            raise MalformedWorld("backedge with nothing built yet")
+        return moved("back-count",
+                     add_edges=[(("M", 4), (a3[0], h2)), (("M", 6), (top[0], 3))])
+
+    if phase == "back-count":
+        if head is None:
+            raise MalformedWorld("tape ended inside a backedge")
+        tok = token_at(head)
+        if tok == "|":
+            return moved("walk-seg", **consume(head))
+        if tok == ";" or is_pair(tok):
+            return moved("place-back")
+        raise MalformedWorld(f"expected bars, a pair or ';', found {tok!r}")
+
+    if phase == "walk-seg":
+        reader = port(M, 6)[0]
+        below = port(reader, 2)
+        if below is None:
+            raise MalformedWorld("backtrack walks below the first vertex")
+        cell = below[0]
+        payload = g.label(cell)[1]
+        edits = {"del_edges": [(("M", 6), (reader, 3))],
+                 "add_edges": [(("M", 6), (cell, 3))]}
+        if payload == "MARK":
+            return moved("back-count", **edits)
+        s, t = payload
+        v4 = port(M, 4)[0]
+        hit = port(v4, t)
+        if hit is None or hit[1] != s:
+            raise MalformedWorld("stack pair does not match the built graph")
+        y = hit[0]
+        if y != v4:
+            edits["del_edges"].append((("M", 4), (v4, h2)))
+            edits["add_edges"].append((("M", 4), (y, h2)))
+        return moved("walk-seg", **edits)
+
+    if phase == "place-back":
+        pair = g.label("buf")[1]
+        if pair is None:
+            raise MalformedWorld("no pair buffered for the backedge")
+        i, j = pair
+        v3 = port(M, 3)[0]
+        v4 = port(M, 4)[0]
+        reader = port(M, 6)[0]
+        if not (1 <= i <= d and 1 <= j <= d):
+            raise MalformedWorld(f"backedge uses port outside 1..{d}")
+        if v3 == v4 and i == j:
+            raise MalformedWorld("an edge cannot start and end on one port slot")
+        if port(v3, i) is not None or port(v4, j) is not None:
+            raise MalformedWorld("backedge port already carries an edge")
+        return moved("read-back",
+                     add_edges=[((v3, i), (v4, j))],
+                     del_edges=[(("M", 4), (v4, h2)), (("M", 6), (reader, 3))],
+                     relabel=[("buf", ("buf", None))])
+
+    if phase == "read-path":
+        if head is None:
+            return moved("finish")
+        tok = token_at(head)
+        if is_pair(tok):
+            edits = consume(head)
+            return moved("extend", tok, **edits)
+        raise MalformedWorld(f"expected a path pair or the tape's end, found {tok!r}")
+
+    if phase == "extend":
+        s, t = arg
+        if not (1 <= s <= d and 1 <= t <= d):
+            raise MalformedWorld(f"path pair uses port outside 1..{d}")
+        v3 = port(M, 3)[0]
+        hit = port(v3, s)
+        if hit is not None:
+            y, t2 = hit
+            if t2 != t:
+                raise MalformedWorld(f"walk expects port {t}, edge enters {t2}")
+            edits = push_cells([(s, t)], w.fresh)
+            if y != v3:
+                edits["del_edges"] = edits.get("del_edges", []) + [(("M", 3), (v3, h1))]
+                edits["add_edges"].append((("M", 3), (y, h1)))
+            out = moved("read-path", **edits)
+            return replace(out, fresh=w.fresh + 1)
+        nid = f"n{w.fresh}"
+        edits = push_cells([(s, t), "MARK"], w.fresh + 1)
+        edits["add_vertices"].append((nid, PLACEHOLDER))
+        edits["add_edges"] += [((v3, s), (nid, t)),
+                               (("M", 3), (nid, h1))]
+        edits["del_edges"] = edits.get("del_edges", []) + [(("M", 3), (v3, h1))]
+        out = moved("read-sep", **edits)
+        return replace(out, fresh=w.fresh + 3)
+
+    if phase == "finish":
+        top = port(M, 5)
+        if top is not None:
+            cell = top[0]
+            below = port(cell, 2)
+            add = [(("M", 5), below)] if below else []
+            return moved("finish", del_vertices=[cell], add_edges=add)
+        if port(M, 7) is not None:
+            return moved("finish", del_vertices=["buf"])
+        if port(M, 2) is not None:
+            return moved("finish", del_vertices=["hold"])
+        a3 = port(M, 3)
+        if a3 is not None:
+            return moved("finish", del_edges=[(("M", 3), a3)])
+        g2 = _rebuild(g, del_vertices=[M])
+        return replace(w, graph=g2, machine=None, steps=w.steps + 1)
+
+    raise MalformedWorld(f"unknown machine phase {phase!r}")

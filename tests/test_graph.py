@@ -408,6 +408,16 @@ def test_glue_all_transitive_conflict():
         glue_all([p1, p2, p3])
 
 
+def test_glue_refuses_plain_names():
+    # read as name sets, "ab" and "bc" would share the element "b"
+    g = PortGraph(1, ["ab"], [], {"ab": 0})
+    h = PortGraph(1, ["bc"], [], {"bc": 1})
+    with pytest.raises(GraphError, match="'ab'"):
+        consistent(g, h)
+    with pytest.raises(GraphError, match="'ab'"):
+        glue_all([g])
+
+
 def test_glue_all_order_independent():
     elems = [_ns((((i, i),), 0), (((i + 1, i + 1),), 0)) for i in range(1, 4)]
     parts = [_g(4, [], {e: 0}) for e in elems]

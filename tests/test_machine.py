@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import oracle
 from conftest import assert_step_local
 
+from cgd.cli import FIXTURES
 from cgd.codec import (
     GraphCode,
     RuleDescription,
@@ -13,7 +15,7 @@ from cgd.codec import (
     parse_tokens,
 )
 from cgd.corpus import cycle_graph, grid_graph, path_graph, random_graph, sample_graph
-from cgd.graph import PortGraph, canonicalize
+from cgd.graph import GraphError, PortConflict, PortGraph, canonicalize
 from cgd.library import identity_rule, inflating_grid_rule, xor_label_rule
 from cgd.machine import (
     MachineBudgetExceeded,
@@ -29,12 +31,13 @@ from cgd.machine import (
     trace,
     universal_rule,
     world_port_count,
-    _rebuild,
+    _PortTable,
 )
 from cgd.rules import LocalRule, RuleParams, apply_rule
 
 IDD2 = encode_rule(identity_rule(2, (0, 1)))
 IDD3 = encode_rule(identity_rule(3, (0, 1)))
+IDD4 = encode_rule(identity_rule(4, (0, 1)))
 
 
 def code_for(x):
@@ -239,7 +242,135 @@ def test_deleting_a_vertex_drops_exactly_its_edges():
         # oracle: filter the whole edge set
         edges = [e for e in g.edges if all(u != v for u, _ in e)]
         labels = {u: g.label(u) for u in g.vertices if u != v}
-        assert _rebuild(g, del_vertices=[v]) == PortGraph(g.degree, labels, edges, labels)
+        table = _PortTable.of(g)
+        table.apply(del_vertices=[v])
+        assert table.graph() == PortGraph(g.degree, labels, edges, labels)
+
+
+# --- the port table against the frozen rebuilding machine ---------------------
+
+
+def oracle_worlds(start):
+    """Every world the machine at commit 85b266d passes through from ``start``."""
+    w = oracle.MachineWorld(start.graph, start.machine, start.root, start.port_count)
+    worlds = [w]
+    while not w.done:
+        w = oracle.machine_step(w)
+        worlds.append(w)
+    return worlds
+
+
+def fields(w):
+    return (w.graph, w.machine, w.root, w.fresh, w.steps)
+
+
+def differential_starts():
+    descs = {2: IDD2, 3: IDD3, 4: IDD4}
+    graphs = [make() for _, make in sorted(FIXTURES.items())]
+    rng = random.Random(808)
+    graphs += [random_graph(rng, degree=rng.choice((2, 3, 4)), size=rng.randint(1, 16),
+                            alphabet=(0, 1)) for _ in range(12)]
+    graphs.append(grid_graph(4, 4))
+    return [build_machine_world(code_for(x), descs[x.degree]) for x in graphs]
+
+
+def test_machine_agrees_with_the_frozen_oracle():
+    for start in differential_starts():
+        want = oracle_worlds(start)
+        got = 0
+        for got, w in enumerate(trace(start)):
+            assert fields(w) == fields(want[got])
+        assert got == len(want) - 1
+
+
+@pytest.mark.parametrize("x,desc", [
+    (cycle_graph(5), IDD2),
+    (sample_graph(), IDD3),
+    (grid_graph(4, 4), IDD4),
+])
+def test_yielded_worlds_are_snapshots(x, desc):
+    start = build_machine_world(code_for(x), desc)
+    worlds = list(trace(start))
+    want = oracle_worlds(start)
+    assert len(worlds) == len(want)
+    for w, o in zip(worlds, want):
+        assert fields(w) == fields(o)
+
+
+def test_stepping_an_old_world_again_branches_off():
+    start = build_machine_world(code_for(grid_graph(2, 2)), IDD4)
+    worlds = list(trace(start))
+    want = oracle_worlds(start)
+    for k in range(len(worlds) - 1):
+        assert machine_step(worlds[k]) == worlds[k + 1]
+    for w, o in zip(worlds, want):
+        assert fields(w) == fields(o)
+
+
+def test_the_newest_world_stepped_twice_gives_one_world():
+    start = build_machine_world(code_for(cycle_graph(4)), IDD2)
+    want = oracle_worlds(start)
+    steps = trace(start)
+    for _ in range(len(want) // 2):
+        w = next(steps)
+    side = machine_step(w)  # takes the table that trace was going to step
+    assert next(steps) == side
+    assert fields(w) == fields(want[w.steps])
+    assert fields(side) == fields(want[side.steps])
+    assert [fields(v) for v in steps] == [fields(o) for o in want[side.steps + 1:]]
+
+
+VALID_EDIT = {
+    "del_edges": [(("M", 7), ("buf", 1))],
+    "del_vertices": ["t0"],
+    "add_vertices": [("x", 0)],
+    "add_edges": [(("x", 1), ("buf", 1))],
+    "relabel": [("M", 0)],
+}
+
+
+@pytest.mark.parametrize("key,bad,error", [
+    ("add_edges", (("x", 2), ("M", 2)), PortConflict),   # M:2 holds the description
+    ("add_edges", (("x", 2), ("ghost", 1)), GraphError),
+    ("add_edges", (("x", 2), ("x", 2)), GraphError),
+    ("add_edges", (("x", 2), ("hold", 8)), GraphError),  # world ports run 1..7
+    ("del_edges", (("M", 7), ("buf", 1)), GraphError),   # deleted just before
+    ("del_vertices", "ghost", GraphError),
+    ("add_vertices", ("hold", 0), GraphError),
+    ("relabel", ("ghost", 0), GraphError),
+])
+def test_a_bad_edit_raises_and_leaves_the_table(key, bad, error):
+    g = build_machine_world(code_for(path_graph(2)), IDD2).graph
+    table = _PortTable.of(g)
+    edit = dict(VALID_EDIT, **{key: VALID_EDIT[key] + [bad]})
+    with pytest.raises(error):
+        table.apply(**edit)
+    assert table.graph() == g
+    undo = table.apply(**VALID_EDIT)
+    assert table.graph() != g
+    table.revert(undo)
+    assert table.graph() == g
+
+
+def test_a_build_makes_as_many_graphs_however_long_it_runs(monkeypatch):
+    calls = []
+    init = PortGraph.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    def graphs_made(x):
+        code = code_for(x)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(PortGraph, "__init__", counted)
+            out = run_machine(build_machine_world(code, IDD4))
+        assert out == label_with(x, IDD4)
+        return len(calls)
+
+    # the start world, the finished world, its unhooked copy and the canonical result
+    assert graphs_made(grid_graph(8, 8)) == graphs_made(grid_graph(4, 4)) == 4
 
 
 def test_budget_cuts_the_run_short():
