@@ -37,7 +37,7 @@ from .machine import (
     trace,
 )
 from .render import summary_line, to_dot
-from .rules import PartialRuleHole, RuleError, orbit, validate_local_rule
+from .rules import PartialRuleHole, RuleError, apply_rule, validate_local_rule
 
 FIXTURES = {
     "fig4": sample_graph,
@@ -145,9 +145,14 @@ def _build_on_machine(x, desc, budget):
 
 
 def cmd_run(args, out):
+    """Print each state as soon as it exists, so a failing step's error
+    follows the steps before it."""
     x, f, _ = _graph_and_rule(args)
-    for step, g in enumerate(orbit(f, x, args.steps)):
-        emit(g, args.format, out, step)
+    for step in range(args.steps + 1):
+        if step:
+            x = apply_rule(f, x)
+        emit(x, args.format, out, step)
+        out.flush()
     return 0
 
 

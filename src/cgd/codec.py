@@ -308,82 +308,105 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     no two traces emit isomorphic graphs and nothing is emitted twice.
     The emission order is fixed but arbitrary; sort by code text when
     the order matters.
+
+    Each vertex is named by its construction word: when slot (v, p)
+    opens vertex n through port q, n is named words[v] + ((p, q),).
+    That is n's least word.  Every edge is made at the earlier of its
+    two slots, so the first slot touching n, in the order vertex then
+    port, is the one that opened it; vertices therefore open in the
+    order a breadth-first search with ports scanned ascending discovers
+    them, and each gets the word that search gives it (Arrighi, Martiel
+    and Nesme's path names).  So every graph comes out canonical,
+    ``len(words[v])`` is v's distance from the pointer, and nothing is
+    renamed afterwards.
+
+    The budget is decided before any graph is built.  The walk records
+    each leaf as a tuple of labels, words and edges, and raises
+    BudgetExceeded on the leaf past ``budget``; graphs are built only
+    once the whole walk has fit.
     """
     if max_vertices is None and max_ecc is None:
         raise GraphError("need max_vertices or max_ecc to stay finite")
     alphabet = tuple(alphabet)
     d = port_count
     labels = [alphabet[0]]
-    depth = [0]
-    bound = {}
+    words = [EPSILON]
+    bound = set()  # slots v * d + p - 1 whose port an earlier slot's edge took
     edges = []
-    emitted = 0
-
-    def emit():
-        nonlocal emitted
-        emitted += 1
-        if budget is not None and emitted > budget:
-            raise BudgetExceeded(budget)
-        n = len(labels)
-        g = PortGraph(d, range(n), list(edges), dict(enumerate(labels)))
-        return canonicalize(g, 0)
-
-    def slots_after(s):
-        return ((v, p) for v in range(len(labels)) for p in range(1, d + 1)
-                if v * d + (p - 1) > s)
+    leaves = []
 
     def rec(s):
         n = len(labels)
         if s >= n * d:
-            yield emit()
+            if budget is not None and len(leaves) == budget:
+                raise BudgetExceeded(budget)
+            leaves.append((tuple(labels), tuple(words), tuple(edges)))
             return
-        v, p = divmod(s, d)
-        p += 1
-        if (v, p) in bound:
-            yield from rec(s + 1)
+        if s in bound:
+            rec(s + 1)
             return
         # leave the slot free
-        yield from rec(s + 1)
+        rec(s + 1)
+        v, p = divmod(s, d)
+        p += 1
+        w = words[v]
         # open a fresh vertex on it
         if ((max_vertices is None or n < max_vertices)
-                and (max_ecc is None or depth[v] + 1 <= max_ecc)):
+                and (max_ecc is None or len(w) < max_ecc)):
             for q in range(1, d + 1):
+                fresh = w + ((p, q),)
+                words.append(fresh)
+                bound.add(n * d + q - 1)
+                edges.append(((w, p), (fresh, q)))
                 for sigma in alphabet:
                     labels.append(sigma)
-                    depth.append(depth[v] + 1)
-                    bound[(v, p)] = (n, q)
-                    bound[(n, q)] = (v, p)
-                    edges.append(((v, p), (n, q)))
-                    yield from rec(s + 1)
-                    edges.pop()
-                    del bound[(v, p)], bound[(n, q)]
+                    rec(s + 1)
                     labels.pop()
-                    depth.pop()
+                edges.pop()
+                bound.discard(n * d + q - 1)
+                words.pop()
         # close onto a later free slot
-        for (y, q) in slots_after(s):
-            if (y, q) in bound:
+        for t in range(s + 1, n * d):
+            if t in bound:
                 continue
-            bound[(v, p)] = (y, q)
-            bound[(y, q)] = (v, p)
-            edges.append(((v, p), (y, q)))
-            yield from rec(s + 1)
+            y, q = divmod(t, d)
+            bound.add(t)
+            edges.append(((w, p), (words[y], q + 1)))
+            rec(s + 1)
             edges.pop()
-            del bound[(v, p)], bound[(y, q)]
+            bound.discard(t)
 
     for sigma in alphabet:
         labels[0] = sigma
-        yield from rec(0)
+        rec(0)
+    for labs, names, links in leaves:
+        yield CayleyGraph(d, names, links, dict(zip(names, labs)))
 
 
 @lru_cache(maxsize=64)
-def _disk_catalog(port_count, alphabet, radius, budget):
-    graphs = list(enumerate_canonical_graphs(port_count, alphabet,
-                                             max_ecc=radius, budget=budget))
+def _catalog_or_trip(port_count, alphabet, radius, budget):
+    try:
+        graphs = list(enumerate_canonical_graphs(port_count, alphabet,
+                                                 max_ecc=radius, budget=budget))
+    except BudgetExceeded as trip:
+        return trip
     keyed = sorted(((encode_graph(g, alphabet=alphabet).text, g) for g in graphs),
                    key=lambda pair: pair[0])
     disks = tuple(Disk(g, radius) for _, g in keyed)
     digest = hashlib.sha256("\n".join(t for t, _ in keyed).encode()).hexdigest()
     return disks, digest
+
+
+def _disk_catalog(port_count, alphabet, radius, budget):
+    """A catalog's disks in code-text order and the sha256 of those texts.
+
+    Both outcomes are remembered per key: a catalog that fits, and a
+    budget trip, which is raised again without walking again.
+    """
+    got = _catalog_or_trip(port_count, alphabet, radius, budget)
+    if isinstance(got, BudgetExceeded):
+        raise got.with_traceback(None)
+    return got
 
 
 def enumerate_disks(port_count, alphabet, radius, budget=None) -> list:

@@ -6,6 +6,24 @@ with itself.
 """
 from collections import deque
 
+import pytest
+
+
+@pytest.fixture
+def graphs_built(monkeypatch):
+    """A list that grows by one per PortGraph construction, CayleyGraph ones included."""
+    from cgd.graph import PortGraph
+
+    calls = []
+    init = PortGraph.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(PortGraph, "__init__", counted)
+    return calls
+
 
 def bfs_distances(g, start):
     pm = g.port_map()

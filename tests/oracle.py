@@ -17,11 +17,26 @@ rebuilds the whole world as a new ``PortGraph``.  The library's machine
 edits one port table in place; both must pass through equal worlds,
 step for step.
 
+``enumerate_canonical_graphs`` is the canonical-graph enumerator of
+``cgd.codec`` as it stood at commit a44f953: it builds every graph on
+integer vertices, canonicalizes each one, and only then counts it
+against the budget.  The library's enumerator names vertices by their
+construction words and decides the budget before building any graph;
+both must yield equal graphs in the same order, or both raise
+``BudgetExceeded`` with the same ``reached``.
+
 Do not edit these copies to follow the library.
 """
 from dataclasses import dataclass, replace
 
-from cgd.codec import DanglingBacktrack, GraphCode, ParseError, PortReuse, is_pair
+from cgd.codec import (
+    BudgetExceeded,
+    DanglingBacktrack,
+    GraphCode,
+    ParseError,
+    PortReuse,
+    is_pair,
+)
 from cgd.graph import (
     CayleyGraph,
     Consistency,
@@ -502,3 +517,72 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         return replace(w, graph=g2, machine=None, steps=w.steps + 1)
 
     raise MalformedWorld(f"unknown machine phase {phase!r}")
+
+
+def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
+                               max_ecc=None, budget=None):
+    """Yield every canonical graph within the bounds, each exactly once."""
+    if max_vertices is None and max_ecc is None:
+        raise GraphError("need max_vertices or max_ecc to stay finite")
+    alphabet = tuple(alphabet)
+    d = port_count
+    labels = [alphabet[0]]
+    depth = [0]
+    bound = {}
+    edges = []
+    emitted = 0
+
+    def emit():
+        nonlocal emitted
+        emitted += 1
+        if budget is not None and emitted > budget:
+            raise BudgetExceeded(budget)
+        n = len(labels)
+        g = PortGraph(d, range(n), list(edges), dict(enumerate(labels)))
+        return canonicalize(g, 0)
+
+    def slots_after(s):
+        return ((v, p) for v in range(len(labels)) for p in range(1, d + 1)
+                if v * d + (p - 1) > s)
+
+    def rec(s):
+        n = len(labels)
+        if s >= n * d:
+            yield emit()
+            return
+        v, p = divmod(s, d)
+        p += 1
+        if (v, p) in bound:
+            yield from rec(s + 1)
+            return
+        # leave the slot free
+        yield from rec(s + 1)
+        # open a fresh vertex on it
+        if ((max_vertices is None or n < max_vertices)
+                and (max_ecc is None or depth[v] + 1 <= max_ecc)):
+            for q in range(1, d + 1):
+                for sigma in alphabet:
+                    labels.append(sigma)
+                    depth.append(depth[v] + 1)
+                    bound[(v, p)] = (n, q)
+                    bound[(n, q)] = (v, p)
+                    edges.append(((v, p), (n, q)))
+                    yield from rec(s + 1)
+                    edges.pop()
+                    del bound[(v, p)], bound[(n, q)]
+                    labels.pop()
+                    depth.pop()
+        # close onto a later free slot
+        for (y, q) in slots_after(s):
+            if (y, q) in bound:
+                continue
+            bound[(v, p)] = (y, q)
+            bound[(y, q)] = (v, p)
+            edges.append(((v, p), (y, q)))
+            yield from rec(s + 1)
+            edges.pop()
+            del bound[(v, p)], bound[(y, q)]
+
+    for sigma in alphabet:
+        labels[0] = sigma
+        yield from rec(0)

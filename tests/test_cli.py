@@ -1,8 +1,9 @@
 import argparse
 
 from cgd.cli import build_parser, main
-from cgd.codec import RuleDescription, encode_rule, write_rule
-from cgd.graph import PortGraph
+from cgd.codec import RuleDescription, encode_rule, enumerate_disks, write_rule
+from cgd.corpus import cycle_graph
+from cgd.graph import PortGraph, disk
 from cgd.library import identity_rule
 from cgd.rules import LocalRule
 
@@ -183,6 +184,22 @@ def test_a_hole_prints_the_offending_disk(tmp_path, capsys):
     assert code == 2
     assert "no image for the disk at ()" in err
     assert "offending disk: $" in err
+
+
+def test_run_prints_the_steps_before_a_failing_one(tmp_path, capsys):
+    full = encode_rule(identity_rule(2, (0,)))
+    ring = disk(cycle_graph(6), full.params.radius)
+    entries = [None if key == ring else e
+               for key, e in zip(enumerate_disks(2, (0,), full.params.radius), full.entries)]
+    assert entries.count(None) == 1
+    f = tmp_path / "one-hole.rule"
+    f.write_text(write_rule(RuleDescription(full.params, entries=entries,
+                                            catalog_hash=full.catalog_hash)))
+    code, out, err = run_cli("run", "--rule", str(f), "--graph", "cycle-6",
+                             "--steps", "2", capsys=capsys)
+    assert code == 2
+    assert out.splitlines() == ["step 0: |V|=6 |E|=6"]
+    assert err.startswith("error: no image for the disk")
 
 
 # every flag each subcommand's cmd_* function reads, and no other

@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import brute_canonical_graphs
 from oracle import decode_graph as oracle_decode_graph
+from oracle import enumerate_canonical_graphs as oracle_enumerate
 
 from cgd.codec import (
     BadIndex,
@@ -12,6 +13,8 @@ from cgd.codec import (
     ParseError,
     PortReuse,
     RuleDescription,
+    _catalog_or_trip,
+    _disk_catalog,
     decode_graph,
     decode_rule,
     encode_graph,
@@ -188,6 +191,18 @@ def test_enumeration_matches_brute_force(degree, alphabet, max_vertices):
     assert set(got) == brute_canonical_graphs(degree, alphabet, max_vertices)
 
 
+# The digest is the catalog= line of every dense rule file, so the order
+# of catalog disks is part of the file format.  Counts and digests
+# computed at commit a44f953.
+CATALOG_DIGESTS = {
+    (1, (0,), 0): "c0f898f34892715ffe9c03cb02f52473741c062b34ff93d80565429c5b21b112",
+    (2, (0, 1), 0): "870be4817416d6b748e7427265e2f8419f98727ebee04407dae48d98c456d4e1",
+    (1, (0,), 1): "e1dd2df301f9b09b67b53c4cc77e70b3062191641b0cf0ee6ee0183c0efd8d81",
+    (2, (0,), 1): "2e1102232f69cb4ea265ab7d60075a3d973270f16aaf16deea0741df1e517c95",
+    (2, (0, 1), 2): "a09b16bfd0746642ffc1033e88d6f1ee7f689b9c9162f8aff185afd2ac3aa809",
+}
+
+
 @pytest.mark.parametrize("degree,alphabet,radius,count", [
     (1, (0,), 0, 1),
     (2, (0, 1), 0, 4),
@@ -196,7 +211,9 @@ def test_enumeration_matches_brute_force(degree, alphabet, max_vertices):
     (2, (0, 1), 2, 1564),
 ])
 def test_disk_counts_frozen(degree, alphabet, radius, count):
-    assert len(enumerate_disks(degree, alphabet, radius)) == count
+    disks, digest = _disk_catalog(degree, alphabet, radius, None)
+    assert len(disks) == count
+    assert digest == CATALOG_DIGESTS[degree, alphabet, radius]
 
 
 def test_disk_enumeration_matches_brute_force():
@@ -219,6 +236,57 @@ def test_enumeration_budget():
     assert info.value.reached == 500
     with pytest.raises(GraphError):
         list(enumerate_canonical_graphs(2, (0,)))  # no bound at all
+
+
+def _outcome_and_builds(enumerate_graphs, calls, *args, **kwargs):
+    calls.clear()
+    try:
+        out = list(enumerate_graphs(*args, **kwargs))
+    except BudgetExceeded as trip:
+        out = ("trip", trip.reached)
+    return out, len(calls)
+
+
+ORACLE_CASES = [(d, alphabet, ecc, nv) for d in (1, 2, 3, 4) for alphabet in ((0,), (0, 1))
+                for ecc in (0, 1, 2) for nv in (1, 2, 3)]
+
+
+def test_enumeration_agrees_with_the_frozen_oracle(graphs_built):
+    trips = 0
+    for d, alphabet, ecc, nv in ORACLE_CASES:
+        bounds = dict(max_ecc=ecc, max_vertices=nv, budget=1000)
+        want, _ = _outcome_and_builds(oracle_enumerate, graphs_built, d, alphabet, **bounds)
+        got, built = _outcome_and_builds(enumerate_canonical_graphs, graphs_built,
+                                         d, alphabet, **bounds)
+        case = (d, alphabet, ecc, nv)
+        assert got == want, case  # same graphs in the same order, or the same trip
+        if got[0] == "trip":
+            trips += 1
+            assert built == 0, case  # the budget is decided before building
+        else:
+            assert built == len(got), case  # one graph each, no renamed copy
+    assert trips >= 5  # the cases reach the budget as well as fit it
+
+
+def test_a_budget_trip_builds_no_graph(graphs_built):
+    _catalog_or_trip.cache_clear()
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_disks(2, (0, 1), 5, budget=10_000)
+    assert info.value.reached == 10_000
+    assert len(graphs_built) == 0
+    _catalog_or_trip.cache_clear()
+    assert len(enumerate_disks(2, (0, 1), 2)) == 1564
+    assert len(graphs_built) == 1564
+
+
+def test_a_budget_trip_is_remembered(monkeypatch):
+    _catalog_or_trip.cache_clear()
+    with pytest.raises(BudgetExceeded) as first:
+        enumerate_disks(2, (0, 1), 3, budget=100)
+    monkeypatch.setattr("cgd.codec.enumerate_canonical_graphs", None)  # no second walk
+    with pytest.raises(BudgetExceeded) as again:
+        enumerate_disks(2, (0, 1), 3, budget=100)
+    assert again.value is first.value
 
 
 # --- image ranking -----------------------------------------------------------
