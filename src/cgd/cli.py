@@ -32,8 +32,8 @@ from .machine import (
     MalformedWorld,
     ParamMismatch,
     build_machine_world,
-    check_intrinsic_simulation,
     finished_graph,
+    simulation_history,
     trace,
 )
 from .render import summary_line, to_dot
@@ -171,21 +171,20 @@ def cmd_validate_rule(args, out):
 
 
 def cmd_simulate(args, out):
+    """Print each step as soon as it is checked, as ``cmd_run`` does."""
     x, f, desc = _graph_and_rule(args, describe=True, description=args.description)
     start = None
     if args.via_machine:
         start, steps = _build_on_machine(x, desc, args.budget_machine)
         out.write(f"machine built the stamped world in {steps} steps\n")
-    rep = check_intrinsic_simulation(f, x, args.steps, desc=desc, start=start)
-    for k, nv, ne in rep.history:
-        mark = " <- diverges" if rep.first_divergence == k else ""
-        out.write(f"step {k}: |V|={nv} |E|={ne}{mark}\n")
-    if rep.ok:
-        out.write(f"Pass (delta=1, {args.steps} steps)\n")
-        return 0
-    out.write(f"Fail at step {rep.first_divergence}: distance "
-              f"{rep.divergence_distance.value}\n")
-    return 1
+    for k, nv, ne, gap in simulation_history(f, x, args.steps, desc, start):
+        out.write(f"step {k}: |V|={nv} |E|={ne}{' <- diverges' if gap else ''}\n")
+        out.flush()
+        if gap:
+            out.write(f"Fail at step {k}: distance {gap.value}\n")
+            return 1
+    out.write(f"Pass (delta=1, {args.steps} steps)\n")
+    return 0
 
 
 def cmd_machine_run(args, out):
@@ -211,6 +210,16 @@ def _labels_csv(text):
     return tuple(int(s) for s in text.split(","))
 
 
+def _count(low):
+    """An argparse type: an integer no less than ``low``."""
+    def count(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return count
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="cgd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -223,7 +232,7 @@ def build_parser():
             sp.add_argument("--graph", required=True,
                             help="fixture name, code file, or - for stdin")
         if steps:
-            sp.add_argument("--steps", type=int, default=1)
+            sp.add_argument("--steps", type=_count(0), default=1)
         if fmt:
             sp.add_argument("--format", choices=("dot", "code", "summary"),
                             default="summary")
@@ -248,7 +257,7 @@ def build_parser():
     common(sp, rule=True)
     sp.add_argument("--ports", type=int, default=None)
     sp.add_argument("--labels", type=_labels_csv, default=None)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_count(1), default=1000)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_validate_rule)

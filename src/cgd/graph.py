@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 
 Word = tuple
@@ -258,41 +257,28 @@ def disk(x: CayleyGraph, r: int) -> Disk:
     return disk_around(x, EPSILON, r)
 
 
-@total_ordering
-class DyadicDistance:
-    """Distance 0 or 1/2^radius between two pointed graphs."""
+class DyadicDistance(Fraction):
+    """Distance 0 or 1/2^radius between two pointed graphs, as an exact fraction."""
 
     __slots__ = ("radius",)
+    from_float = Fraction.from_float  # comparing with a float builds a plain Fraction
+    __copy__ = __deepcopy__ = None    # copies go through __reduce__
 
-    def __init__(self, radius):
+    def __new__(cls, radius):
+        self = super().__new__(cls, 0 if radius is None else Fraction(1, 2 ** radius))
         self.radius = radius  # None means the graphs are equal
+        return self
+
+    def __reduce__(self):
+        return DyadicDistance, (self.radius,)
 
     @property
     def value(self) -> Fraction:
-        return Fraction(0) if self.radius is None else Fraction(1, 2 ** self.radius)
+        return Fraction(self)
 
     @property
     def is_zero(self) -> bool:
         return self.radius is None
-
-    def _coerce(self, other):
-        if isinstance(other, DyadicDistance):
-            return other.value
-        return Fraction(other)
-
-    def __eq__(self, other):
-        if isinstance(other, DyadicDistance):
-            return self.radius == other.radius
-        try:
-            return self.value == self._coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.value < self._coerce(other)
-
-    def __hash__(self):
-        return hash(self.value)
 
     def __repr__(self):
         return "DyadicDistance(0)" if self.is_zero else f"DyadicDistance(1/2**{self.radius})"

@@ -20,9 +20,10 @@ through k mark-to-mark segments, which lands it on the k-th previously
 built vertex, matching what the bars mean in the code.
 
 A run holds its world as one mutable port table.  Each step reads the
-table around the machine, then applies its edit record (vertices,
-edges and relabels added or removed) to the table in place, so a step
-costs in proportion to its radius-2 edit, not to the world.  The worlds
+table around the machine and writes its edits (vertices, edges and
+relabels added or removed) straight onto it, so a step costs in
+proportion to its radius-2 edit, not to the world.  The table logs
+every write, and a step that raises takes its writes back.  The worlds
 ``trace`` yields are snapshots all the same: the newest one owns the
 table, each older one keeps the undo record of the step that left it,
 and ``MachineWorld.graph`` is built from them on first read.
@@ -132,30 +133,41 @@ class SimulationReport:
         return self.ok
 
 
-def check_intrinsic_simulation(f: LocalRule, x: CayleyGraph, steps: int,
-                               desc: RuleDescription = None,
-                               start: CayleyGraph = None) -> SimulationReport:
-    """Run f directly and through the universal rule, comparing every step.
+def simulation_history(f: LocalRule, x: CayleyGraph, steps: int,
+                       desc: RuleDescription = None, start: CayleyGraph = None):
+    """Run f directly and through the universal rule, yielding each step as checked.
 
     Zero delay: after k universal steps the stamped world must equal
-    the stamped k-th world of f itself.  `start` substitutes the
-    stamped starting point (for machine-built worlds); by default it is
-    label_with(x, desc).
+    the stamped k-th world of f itself.  A row is (k, |V|, |E|, gap):
+    gap is None while the runs agree, and the first row with a distance
+    ends the run.  `start` substitutes the stamped starting point (for
+    machine-built worlds); by default it is label_with(x, desc).
     """
     if desc is None:
         desc = encode_rule(f)
     univ = universal_rule(f.params, (desc,))
     plain = x
     lifted = label_with(x, desc) if start is None else start
-    history = [(0, len(x.vertices), len(x.edges))]
+    yield 0, len(x.vertices), len(x.edges), None
     for k in range(1, steps + 1):
         plain = apply_rule(f, plain)
         lifted = apply_rule(univ, lifted)
-        history.append((k, len(plain.vertices), len(plain.edges)))
         want = label_with(plain, desc)
-        if lifted != want:
-            return SimulationReport(False, steps, k, distance(lifted, want),
-                                    tuple(history))
+        gap = None if lifted == want else distance(lifted, want)
+        yield k, len(plain.vertices), len(plain.edges), gap
+        if gap:
+            return
+
+
+def check_intrinsic_simulation(f: LocalRule, x: CayleyGraph, steps: int,
+                               desc: RuleDescription = None,
+                               start: CayleyGraph = None) -> SimulationReport:
+    """The rows of ``simulation_history`` collected into one report."""
+    history = []
+    for k, nv, ne, gap in simulation_history(f, x, steps, desc, start):
+        history.append((k, nv, ne))
+        if gap:
+            return SimulationReport(False, steps, k, gap, tuple(history))
     return SimulationReport(True, steps, history=tuple(history))
 
 
@@ -170,86 +182,69 @@ class _PortTable:
 
     ``labels`` maps each vertex to its label, and ``ports`` maps each used
     slot (vertex, port) to the slot at the other end of its edge, both
-    ways round.  ``apply`` checks only what an edit touches, with the
-    ``PortGraph`` constructor's error types, and returns the edit's undo
-    record.  An edit that fails is undone before its error propagates.
+    ways round.  Each edit method checks only what it touches, with the
+    ``PortGraph`` constructor's error types, before it writes anything,
+    and appends its writes to ``log``, the undo record of the edits so far.
     """
 
-    __slots__ = ("degree", "labels", "ports")
+    __slots__ = ("degree", "labels", "ports", "log")
 
     def __init__(self, degree, labels, ports):
-        self.degree = degree
-        self.labels = labels
-        self.ports = ports
+        self.degree, self.labels, self.ports = degree, labels, ports
+        self.log = []  # (is a port key, key, old value or _ABSENT), in write order
 
     @classmethod
     def of(cls, g: PortGraph) -> _PortTable:
         return cls(g.degree, dict(g.labels), dict(g.port_map()))
 
-    def copy(self) -> _PortTable:
-        return _PortTable(self.degree, dict(self.labels), dict(self.ports))
-
     def graph(self) -> PortGraph:
         edges = {frozenset(slots) for slots in self.ports.items()}
         return PortGraph(self.degree, self.labels, edges, self.labels)
 
-    def apply(self, *, add_vertices=(), del_vertices=(), add_edges=(), del_edges=(),
-              relabel=()) -> list:
-        """Delete edges, then vertices with their edges; add vertices, then
-        edges; relabel.  Returns the undo record."""
-        labels, ports, degree = self.labels, self.ports, self.degree
-        undo = []  # (is a port key, key, old value or _ABSENT), in write order
+    def _put(self, d, key, value):
+        self.log.append((d is self.ports, key, d.get(key, _ABSENT)))
+        d[key] = value
 
-        def put(d, key, value):
-            undo.append((d is ports, key, d.get(key, _ABSENT)))
-            d[key] = value
+    def add_vertex(self, v, label):
+        if v in self.labels:
+            raise GraphError(f"vertex {v!r} already exists")
+        self._put(self.labels, v, label)
 
-        def drop_edge(a):
-            b = ports.pop(a)
-            undo.append((True, a, b))
-            undo.append((True, b, ports.pop(b)))
+    def del_vertex(self, v):
+        """Delete v and every edge at it."""
+        if v not in self.labels:
+            raise GraphError(f"{v!r} is not a vertex")
+        for p in range(1, self.degree + 1):
+            if (v, p) in self.ports:
+                self.del_edge((v, p), self.ports[v, p])
+        self.log.append((False, v, self.labels.pop(v)))
 
-        def check_vertex(v):
-            if v not in labels:
-                raise GraphError(f"{v!r} is not a vertex")
+    def add_edge(self, a, b):
+        if a == b:
+            raise GraphError(f"edge must join two distinct port slots: {a!r}")
+        for v, p in (a, b):
+            if v not in self.labels:
+                raise GraphError(f"edge endpoint {v!r} is not a vertex")
+            if not 1 <= p <= self.degree:
+                raise GraphError(f"port {p} out of range 1..{self.degree}")
+            if (v, p) in self.ports:
+                raise PortConflict(f"port {p} of {v!r} used by two edges")
+        self._put(self.ports, a, b)
+        self._put(self.ports, b, a)
 
-        try:
-            for a, b in del_edges:
-                if ports.get(a) != b:
-                    raise GraphError(f"no edge joins {a!r} and {b!r}")
-                drop_edge(a)
-            for v in del_vertices:
-                check_vertex(v)
-                for p in range(1, degree + 1):
-                    if (v, p) in ports:
-                        drop_edge((v, p))
-                undo.append((False, v, labels.pop(v)))
-            for v, lbl in add_vertices:
-                if v in labels:
-                    raise GraphError(f"vertex {v!r} already exists")
-                put(labels, v, lbl)
-            for a, b in add_edges:
-                if a == b:
-                    raise GraphError(f"edge must join two distinct port slots: {a!r}")
-                for v, p in (a, b):
-                    if v not in labels:
-                        raise GraphError(f"edge endpoint {v!r} is not a vertex")
-                    if not 1 <= p <= degree:
-                        raise GraphError(f"port {p} out of range 1..{degree}")
-                    if (v, p) in ports:
-                        raise PortConflict(f"port {p} of {v!r} used by two edges")
-                put(ports, a, b)
-                put(ports, b, a)
-            for v, lbl in relabel:
-                check_vertex(v)
-                put(labels, v, lbl)
-        except BaseException:  # whatever stopped the edit, leave the table as it was
-            self.revert(undo)
-            raise
-        return undo
+    def del_edge(self, a, b):
+        if self.ports.get(a) != b:
+            raise GraphError(f"no edge joins {a!r} and {b!r}")
+        for slot in (a, b):
+            self.log.append((True, slot, self.ports.pop(slot)))
+
+    def relabel(self, v, label):
+        if v not in self.labels:
+            raise GraphError(f"{v!r} is not a vertex")
+        self._put(self.labels, v, label)
 
     def revert(self, undo):
-        """Take back an edit: restore each key it wrote, latest write first."""
+        """Take back edits: restore each key they wrote, latest write first."""
         for is_port, key, old in reversed(undo):
             d = self.ports if is_port else self.labels
             if old is _ABSENT:
@@ -262,7 +257,7 @@ class _Version:
     """One world's state: the run's port table, or the way back from it.
 
     A step hands the table on from its world's version to a new one, and
-    leaves behind the undo record of its edit and a link to the newer
+    leaves behind the undo record of its edits and a link to the newer
     version (Baker's version nodes, never rerooted).  Links run from
     older to newer, so an old world's record is freed with the world.
     ``graph`` caches the snapshot; a version holding it keeps no record.
@@ -275,9 +270,9 @@ class _Version:
         self.undo = self.newer = None
         self.graph = graph
 
-    def advance(self, edits: dict) -> _Version:
-        """Apply an edit record to the table and hand the table on."""
-        undo = self.table.apply(**edits)
+    def advance(self) -> _Version:
+        """Hand the table, with the step's edits logged, on to a new version."""
+        undo, self.table.log = self.table.log, []
         new = _Version(self.table)
         if self.graph is None:
             self.undo, self.newer = undo, new
@@ -294,7 +289,7 @@ class _Version:
             if v.graph is not None:
                 t = _PortTable.of(v.graph)
             elif undos:
-                t = v.table.copy()
+                t = _PortTable(v.table.degree, dict(v.table.labels), dict(v.table.ports))
             else:
                 t = v.table  # the newest version reads the live table
             for undo in reversed(undos):
@@ -369,7 +364,8 @@ def machine_step(w: MachineWorld) -> MachineWorld:
     if ver.table is None:  # an older world steps again: go on from a fresh table
         g = w.graph
         ver = _Version(_PortTable.of(g), g)
-    labels, ports = ver.table.labels, ver.table.ports
+    table = ver.table
+    labels, ports = table.labels, table.ports
     M = w.machine
     d = w.port_count
     h1, h2 = d + 1, d + 2
@@ -382,194 +378,194 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         return lbl[1]
 
     def consume(slot):
-        """Edits deleting the head token and pulling the tape closer."""
+        """Delete the head token and pull the tape closer."""
         t = slot[0]
         nxt = ports.get((t, 2))
-        add = [(("M", 1), (nxt[0], 1))] if nxt else []
-        return {"del_vertices": [t], "add_edges": add}
+        table.del_vertex(t)
+        if nxt:
+            table.add_edge((M, 1), (nxt[0], 1))
 
-    def moved(phase2, arg2=None, **edits):
-        relabels = list(edits.pop("relabel", ()))
-        relabels.append((M, ("M", phase2, arg2)))
-        return replace(w, _version=ver.advance({**edits, "relabel": relabels}),
-                       steps=w.steps + 1)
+    def moved(phase2, arg2=None, **counters):
+        table.relabel(M, ("M", phase2, arg2))
+        return replace(w, _version=ver.advance(), steps=w.steps + 1, **counters)
 
     def push_cells(payloads, base):
-        """Edits stacking new cells above the current top, bottom first."""
-        add_v, add_e, del_e = [], [], []
-        top = ports.get((M, 5))
-        for k, payload in enumerate(payloads):
-            cid = f"c{base + k}"
-            add_v.append((cid, ("cell", payload)))
-            if top is not None:
-                if k == 0:
-                    del_e.append((("M", 5), top))
-                add_e.append(((cid, 2), top))
-            top = (cid, 1)
-        add_e.append((("M", 5), top))
-        return {"add_vertices": add_v, "add_edges": add_e, "del_edges": del_e}
-
-    head = ports.get((M, 1))
-
-    if phase == "read-sep":
-        if head is None:
-            a3 = ports.get((M, 3))
-            if a3 is not None and labels[a3[0]] == PLACEHOLDER:
-                raise MalformedWorld("a fresh vertex never got its word")
-            return moved("finish")
-        tok = token_at(head)
-        if tok != "$":
-            raise MalformedWorld(f"expected '$' on the tape, found {tok!r}")
-        return moved("read-label", **consume(head))
-
-    if phase == "read-label":
-        if head is None:
-            raise MalformedWorld("tape ended inside a word")
-        tok = token_at(head)
-        if not (isinstance(tok, tuple) and tok[0] == "lbl"):
-            raise MalformedWorld(f"expected a label, found {tok!r}")
-        desc = labels[ports.get((M, 2))[0]][1]
-        stamp = SimLabel(tok[1], desc)
-        edits = consume(head)
-        a3 = ports.get((M, 3))
-        if a3 is None:
-            rid = f"n{w.fresh}"
-            edits["add_vertices"] = [(rid, stamp)]
-            edits["add_edges"] = edits.get("add_edges", []) + [(("M", 3), (rid, h1))]
-            mark = push_cells(["MARK"], w.fresh + 1)
-            edits["add_vertices"] += mark["add_vertices"]
-            edits["add_edges"] += mark["add_edges"]
-            out = moved("read-back", **edits)
-            return replace(out, root=rid, fresh=w.fresh + 2)
-        v = a3[0]
-        if labels[v] != PLACEHOLDER:
-            raise MalformedWorld("word tries to relabel a finished vertex")
-        edits["relabel"] = [(v, stamp)]
-        return moved("read-back", **edits)
-
-    if phase == "read-back":
-        if head is None:
-            raise MalformedWorld("tape ended inside a word")
-        tok = token_at(head)
-        if tok == ";":
-            return moved("read-path", **consume(head))
-        if is_pair(tok):
-            edits = consume(head)
-            edits["relabel"] = [("buf", ("buf", tok))]
-            return moved("back-pending", **edits)
-        raise MalformedWorld(f"expected a backedge or ';', found {tok!r}")
-
-    if phase == "back-pending":
-        a3 = ports.get((M, 3))
-        top = ports.get((M, 5))
-        if a3 is None or top is None:
-            raise MalformedWorld("backedge with nothing built yet")
-        return moved("back-count",
-                     add_edges=[(("M", 4), (a3[0], h2)), (("M", 6), (top[0], 3))])
-
-    if phase == "back-count":
-        if head is None:
-            raise MalformedWorld("tape ended inside a backedge")
-        tok = token_at(head)
-        if tok == "|":
-            return moved("walk-seg", **consume(head))
-        if tok == ";" or is_pair(tok):
-            return moved("place-back")
-        raise MalformedWorld(f"expected bars, a pair or ';', found {tok!r}")
-
-    if phase == "walk-seg":
-        reader = ports.get((M, 6))[0]
-        below = ports.get((reader, 2))
-        if below is None:
-            raise MalformedWorld("backtrack walks below the first vertex")
-        cell = below[0]
-        payload = labels[cell][1]
-        edits = {"del_edges": [(("M", 6), (reader, 3))],
-                 "add_edges": [(("M", 6), (cell, 3))]}
-        if payload == "MARK":
-            return moved("back-count", **edits)
-        s, t = payload
-        v4 = ports.get((M, 4))[0]
-        hit = ports.get((v4, t))
-        if hit is None or hit[1] != s:
-            raise MalformedWorld("stack pair does not match the built graph")
-        y = hit[0]
-        if y != v4:
-            edits["del_edges"].append((("M", 4), (v4, h2)))
-            edits["add_edges"].append((("M", 4), (y, h2)))
-        return moved("walk-seg", **edits)
-
-    if phase == "place-back":
-        pair = labels["buf"][1]
-        if pair is None:
-            raise MalformedWorld("no pair buffered for the backedge")
-        i, j = pair
-        v3 = ports.get((M, 3))[0]
-        v4 = ports.get((M, 4))[0]
-        reader = ports.get((M, 6))[0]
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise MalformedWorld(f"backedge uses port outside 1..{d}")
-        if v3 == v4 and i == j:
-            raise MalformedWorld("an edge cannot start and end on one port slot")
-        if ports.get((v3, i)) is not None or ports.get((v4, j)) is not None:
-            raise MalformedWorld("backedge port already carries an edge")
-        return moved("read-back",
-                     add_edges=[((v3, i), (v4, j))],
-                     del_edges=[(("M", 4), (v4, h2)), (("M", 6), (reader, 3))],
-                     relabel=[("buf", ("buf", None))])
-
-    if phase == "read-path":
-        if head is None:
-            return moved("finish")
-        tok = token_at(head)
-        if is_pair(tok):
-            edits = consume(head)
-            return moved("extend", tok, **edits)
-        raise MalformedWorld(f"expected a path pair or the tape's end, found {tok!r}")
-
-    if phase == "extend":
-        s, t = arg
-        if not (1 <= s <= d and 1 <= t <= d):
-            raise MalformedWorld(f"path pair uses port outside 1..{d}")
-        v3 = ports.get((M, 3))[0]
-        hit = ports.get((v3, s))
-        if hit is not None:
-            y, t2 = hit
-            if t2 != t:
-                raise MalformedWorld(f"walk expects port {t}, edge enters {t2}")
-            edits = push_cells([(s, t)], w.fresh)
-            if y != v3:
-                edits["del_edges"] = edits.get("del_edges", []) + [(("M", 3), (v3, h1))]
-                edits["add_edges"].append((("M", 3), (y, h1)))
-            out = moved("read-path", **edits)
-            return replace(out, fresh=w.fresh + 1)
-        nid = f"n{w.fresh}"
-        edits = push_cells([(s, t), "MARK"], w.fresh + 1)
-        edits["add_vertices"].append((nid, PLACEHOLDER))
-        edits["add_edges"] += [((v3, s), (nid, t)),
-                               (("M", 3), (nid, h1))]
-        edits["del_edges"] = edits.get("del_edges", []) + [(("M", 3), (v3, h1))]
-        out = moved("read-sep", **edits)
-        return replace(out, fresh=w.fresh + 3)
-
-    if phase == "finish":
+        """Stack new cells above the current top, bottom first."""
         top = ports.get((M, 5))
         if top is not None:
-            cell = top[0]
-            below = ports.get((cell, 2))
-            add = [(("M", 5), below)] if below else []
-            return moved("finish", del_vertices=[cell], add_edges=add)
-        if ports.get((M, 7)) is not None:
-            return moved("finish", del_vertices=["buf"])
-        if ports.get((M, 2)) is not None:
-            return moved("finish", del_vertices=["hold"])
-        a3 = ports.get((M, 3))
-        if a3 is not None:
-            return moved("finish", del_edges=[(("M", 3), a3)])
-        return replace(w, _version=ver.advance({"del_vertices": [M]}), machine=None,
-                       steps=w.steps + 1)
+            table.del_edge((M, 5), top)
+        for k, payload in enumerate(payloads):
+            cid = f"c{base + k}"
+            table.add_vertex(cid, ("cell", payload))
+            if top is not None:
+                table.add_edge((cid, 2), top)
+            top = (cid, 1)
+        table.add_edge((M, 5), top)
 
-    raise MalformedWorld(f"unknown machine phase {phase!r}")
+    def swing(arm, port, old, new):
+        """Move an arm's grip from vertex old to vertex new."""
+        if new != old:
+            table.del_edge((M, arm), (old, port))
+            table.add_edge((M, arm), (new, port))
+
+    head = ports.get((M, 1))
+    try:
+        if phase == "read-sep":
+            if head is None:
+                a3 = ports.get((M, 3))
+                if a3 is not None and labels[a3[0]] == PLACEHOLDER:
+                    raise MalformedWorld("a fresh vertex never got its word")
+                return moved("finish")
+            tok = token_at(head)
+            if tok != "$":
+                raise MalformedWorld(f"expected '$' on the tape, found {tok!r}")
+            consume(head)
+            return moved("read-label")
+
+        if phase == "read-label":
+            if head is None:
+                raise MalformedWorld("tape ended inside a word")
+            tok = token_at(head)
+            if not (isinstance(tok, tuple) and tok[0] == "lbl"):
+                raise MalformedWorld(f"expected a label, found {tok!r}")
+            stamp = SimLabel(tok[1], labels[ports[M, 2][0]][1])
+            a3 = ports.get((M, 3))
+            if a3 is not None and labels[a3[0]] != PLACEHOLDER:
+                raise MalformedWorld("word tries to relabel a finished vertex")
+            consume(head)
+            if a3 is not None:
+                table.relabel(a3[0], stamp)
+                return moved("read-back")
+            rid = f"n{w.fresh}"
+            table.add_vertex(rid, stamp)
+            table.add_edge((M, 3), (rid, h1))
+            push_cells(["MARK"], w.fresh + 1)
+            return moved("read-back", root=rid, fresh=w.fresh + 2)
+
+        if phase == "read-back":
+            if head is None:
+                raise MalformedWorld("tape ended inside a word")
+            tok = token_at(head)
+            if tok == ";":
+                consume(head)
+                return moved("read-path")
+            if is_pair(tok):
+                consume(head)
+                table.relabel("buf", ("buf", tok))
+                return moved("back-pending")
+            raise MalformedWorld(f"expected a backedge or ';', found {tok!r}")
+
+        if phase == "back-pending":
+            a3 = ports.get((M, 3))
+            top = ports.get((M, 5))
+            if a3 is None or top is None:
+                raise MalformedWorld("backedge with nothing built yet")
+            table.add_edge((M, 4), (a3[0], h2))
+            table.add_edge((M, 6), (top[0], 3))
+            return moved("back-count")
+
+        if phase == "back-count":
+            if head is None:
+                raise MalformedWorld("tape ended inside a backedge")
+            tok = token_at(head)
+            if tok == "|":
+                consume(head)
+                return moved("walk-seg")
+            if tok == ";" or is_pair(tok):
+                return moved("place-back")
+            raise MalformedWorld(f"expected bars, a pair or ';', found {tok!r}")
+
+        if phase == "walk-seg":
+            reader = ports.get((M, 6))[0]
+            below = ports.get((reader, 2))
+            if below is None:
+                raise MalformedWorld("backtrack walks below the first vertex")
+            cell = below[0]
+            payload = labels[cell][1]
+            swing(6, 3, reader, cell)
+            if payload == "MARK":
+                return moved("back-count")
+            s, t = payload
+            v4 = ports.get((M, 4))[0]
+            hit = ports.get((v4, t))
+            if hit is None or hit[1] != s:
+                raise MalformedWorld("stack pair does not match the built graph")
+            swing(4, h2, v4, hit[0])
+            return moved("walk-seg")
+
+        if phase == "place-back":
+            pair = labels["buf"][1]
+            if pair is None:
+                raise MalformedWorld("no pair buffered for the backedge")
+            i, j = pair
+            v3 = ports.get((M, 3))[0]
+            v4 = ports.get((M, 4))[0]
+            reader = ports.get((M, 6))[0]
+            if not (1 <= i <= d and 1 <= j <= d):
+                raise MalformedWorld(f"backedge uses port outside 1..{d}")
+            if v3 == v4 and i == j:
+                raise MalformedWorld("an edge cannot start and end on one port slot")
+            if ports.get((v3, i)) is not None or ports.get((v4, j)) is not None:
+                raise MalformedWorld("backedge port already carries an edge")
+            table.del_edge((M, 4), (v4, h2))
+            table.del_edge((M, 6), (reader, 3))
+            table.add_edge((v3, i), (v4, j))
+            table.relabel("buf", ("buf", None))
+            return moved("read-back")
+
+        if phase == "read-path":
+            if head is None:
+                return moved("finish")
+            tok = token_at(head)
+            if not is_pair(tok):
+                raise MalformedWorld(f"expected a path pair or the tape's end, found {tok!r}")
+            consume(head)
+            return moved("extend", tok)
+
+        if phase == "extend":
+            s, t = arg
+            if not (1 <= s <= d and 1 <= t <= d):
+                raise MalformedWorld(f"path pair uses port outside 1..{d}")
+            v3 = ports.get((M, 3))[0]
+            hit = ports.get((v3, s))
+            if hit is not None:
+                y, t2 = hit
+                if t2 != t:
+                    raise MalformedWorld(f"walk expects port {t}, edge enters {t2}")
+                push_cells([(s, t)], w.fresh)
+                swing(3, h1, v3, y)
+                return moved("read-path", fresh=w.fresh + 1)
+            nid = f"n{w.fresh}"
+            push_cells([(s, t), "MARK"], w.fresh + 1)
+            table.add_vertex(nid, PLACEHOLDER)
+            table.add_edge((v3, s), (nid, t))
+            swing(3, h1, v3, nid)
+            return moved("read-sep", fresh=w.fresh + 3)
+
+        if phase == "finish":
+            top = ports.get((M, 5))
+            if top is not None:
+                below = ports.get((top[0], 2))
+                table.del_vertex(top[0])
+                if below:
+                    table.add_edge((M, 5), below)
+            elif ports.get((M, 7)) is not None:
+                table.del_vertex("buf")
+            elif ports.get((M, 2)) is not None:
+                table.del_vertex("hold")
+            elif ports.get((M, 3)) is not None:
+                table.del_edge((M, 3), ports[M, 3])
+            else:
+                table.del_vertex(M)
+                return replace(w, _version=ver.advance(), machine=None,
+                               steps=w.steps + 1)
+            return moved("finish")
+
+        raise MalformedWorld(f"unknown machine phase {phase!r}")
+    except BaseException:  # whatever stopped the step, leave the table as it was
+        table.revert(table.log)
+        table.log = []
+        raise
 
 
 def trace(world: MachineWorld, budget=1_000_000):

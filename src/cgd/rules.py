@@ -253,9 +253,10 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
     probed inside ambient disks of radius 3r + 2 (beyond that range the
     images cannot share names).  Image size bounds are checked on the
     way.  Every ambient disk is enumerated when the catalogs fit
-    ``budget``; past it, ``samples`` random ambients are drawn instead,
-    or with ``exhaustive=True`` BudgetExceeded is raised.  Not a proof
-    in sampled mode, but wrong rules rarely survive it.
+    ``budget``; past it, ``samples`` random ambients are drawn instead
+    (RuleError if that is fewer than one), or with ``exhaustive=True``
+    BudgetExceeded is raised.  Not a proof in sampled mode, but wrong
+    rules rarely survive it.
     """
     from .codec import BudgetExceeded, enumerate_disks
 
@@ -277,6 +278,8 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
     if not exhaustive:
         from .corpus import random_graph
 
+        if samples < 1:
+            raise RuleError(f"cannot check a rule on {samples} sampled ambients")
         rng = random.Random(seed)
         ambients = []
         for _ in range(samples):

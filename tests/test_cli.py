@@ -1,4 +1,8 @@
 import argparse
+import io
+import sys
+
+import pytest
 
 from cgd.cli import build_parser, main
 from cgd.codec import RuleDescription, encode_rule, enumerate_disks, write_rule
@@ -186,7 +190,8 @@ def test_a_hole_prints_the_offending_disk(tmp_path, capsys):
     assert "offending disk: $" in err
 
 
-def test_run_prints_the_steps_before_a_failing_one(tmp_path, capsys):
+def one_hole_rule(tmp_path):
+    """A rule file: identity on 2-port graphs, with no image for the 6-cycle's disk."""
     full = encode_rule(identity_rule(2, (0,)))
     ring = disk(cycle_graph(6), full.params.radius)
     entries = [None if key == ring else e
@@ -195,11 +200,43 @@ def test_run_prints_the_steps_before_a_failing_one(tmp_path, capsys):
     f = tmp_path / "one-hole.rule"
     f.write_text(write_rule(RuleDescription(full.params, entries=entries,
                                             catalog_hash=full.catalog_hash)))
+    return f
+
+
+def test_run_prints_the_steps_before_a_failing_one(tmp_path, capsys):
+    f = one_hole_rule(tmp_path)
     code, out, err = run_cli("run", "--rule", str(f), "--graph", "cycle-6",
                              "--steps", "2", capsys=capsys)
     assert code == 2
     assert out.splitlines() == ["step 0: |V|=6 |E|=6"]
     assert err.startswith("error: no image for the disk")
+
+
+def test_simulate_prints_the_steps_before_a_failing_one(tmp_path, monkeypatch):
+    f = one_hole_rule(tmp_path)
+    both = io.StringIO()  # one stream for out and err keeps their order
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    code = main(["simulate", "--rule", str(f), "--graph", "cycle-6", "--steps", "2"])
+    assert code == 2
+    lines = both.getvalue().splitlines()
+    assert lines[0] == "step 0: |V|=6 |E|=6"
+    assert lines[1].startswith("error: no image for the disk at ()")
+    assert len(lines) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate-rule", "--rule", "identity", "--samples", "-3"),
+    ("validate-rule", "--rule", "identity", "--samples", "0"),
+    ("run", "--rule", "identity", "--graph", "cycle-6", "--steps", "-2"),
+    ("simulate", "--rule", "identity", "--graph", "cycle-6", "--steps", "-2"),
+])
+def test_counts_below_their_floor_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert "must be at least" in err
 
 
 # every flag each subcommand's cmd_* function reads, and no other

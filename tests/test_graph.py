@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -335,6 +337,12 @@ def test_dyadic_distance_comparisons():
     assert DyadicDistance(None) < d
     assert DyadicDistance(None).value == 0
     assert DyadicDistance(3) == DyadicDistance(3)
+
+
+def test_dyadic_distance_copies_keep_the_radius():
+    d = DyadicDistance(3)
+    for c in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(c) is DyadicDistance and c.radius == 3 and c == d
 
 
 # --- gluing ------------------------------------------------------------------

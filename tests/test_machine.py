@@ -243,7 +243,7 @@ def test_deleting_a_vertex_drops_exactly_its_edges():
         edges = [e for e in g.edges if all(u != v for u, _ in e)]
         labels = {u: g.label(u) for u in g.vertices if u != v}
         table = _PortTable.of(g)
-        table.apply(del_vertices=[v])
+        table.del_vertex(v)
         assert table.graph() == PortGraph(g.degree, labels, edges, labels)
 
 
@@ -320,13 +320,23 @@ def test_the_newest_world_stepped_twice_gives_one_world():
     assert [fields(v) for v in steps] == [fields(o) for o in want[side.steps + 1:]]
 
 
-VALID_EDIT = {
+VALID_EDIT = {  # one step's edits by kind, made in this order
     "del_edges": [(("M", 7), ("buf", 1))],
     "del_vertices": ["t0"],
     "add_vertices": [("x", 0)],
     "add_edges": [(("x", 1), ("buf", 1))],
     "relabel": [("M", 0)],
 }
+EDIT_METHOD = {"del_edges": "del_edge", "del_vertices": "del_vertex",
+               "add_vertices": "add_vertex", "add_edges": "add_edge", "relabel": "relabel"}
+
+
+def edit(table, kind, item):
+    getattr(table, EDIT_METHOD[kind])(*((item,) if kind == "del_vertices" else item))
+
+
+def table_state(table):
+    return dict(table.labels), dict(table.ports), list(table.log)
 
 
 @pytest.mark.parametrize("key,bad,error", [
@@ -342,14 +352,36 @@ VALID_EDIT = {
 def test_a_bad_edit_raises_and_leaves_the_table(key, bad, error):
     g = build_machine_world(code_for(path_graph(2)), IDD2).graph
     table = _PortTable.of(g)
-    edit = dict(VALID_EDIT, **{key: VALID_EDIT[key] + [bad]})
-    with pytest.raises(error):
-        table.apply(**edit)
-    assert table.graph() == g
-    undo = table.apply(**VALID_EDIT)
+    for kind, items in VALID_EDIT.items():
+        for item in items:
+            edit(table, kind, item)
+        if kind == key:
+            before = table_state(table)
+            with pytest.raises(error):
+                edit(table, kind, bad)
+            assert table_state(table) == before  # nothing written, nothing logged
     assert table.graph() != g
-    table.revert(undo)
+    table.revert(table.log)
     assert table.graph() == g
+
+
+def test_a_step_that_fails_midway_is_taken_back(monkeypatch):
+    start = build_machine_world(code_for(cycle_graph(4)), IDD2)
+    want = oracle_worlds(start)
+    steps = trace(start)
+    for _ in range(3):
+        w = next(steps)  # w.steps == 2: the next step consumes the first word's ';'
+
+    def failing(table, v, label):
+        assert table.log  # the step's first edits are already on the table
+        raise RuntimeError("step cut short")
+
+    monkeypatch.setattr(_PortTable, "relabel", failing)
+    with pytest.raises(RuntimeError):
+        machine_step(w)
+    monkeypatch.undo()
+    assert fields(w) == fields(want[w.steps])
+    assert fields(machine_step(w)) == fields(want[w.steps + 1])
 
 
 def test_a_build_makes_as_many_graphs_however_long_it_runs(graphs_built):

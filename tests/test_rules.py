@@ -189,6 +189,14 @@ def test_validation_modes():
     assert fallback.coverage == "sampled" and fallback.checked == 5
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_nothing_is_refused(samples):
+    with pytest.raises(RuleError):
+        validate_local_rule(identity_rule(2, (0, 1)), budget=10, samples=samples)
+    # an enumerated check draws no samples, so it does not need any
+    assert validate_local_rule(identity_rule(1, (0,)), samples=samples).checked == 4
+
+
 def _identity_with_blank_stubs():
     """Looks like the identity rule but forgets neighbour labels."""
     base = identity_rule(2, (0, 1))
