@@ -25,7 +25,7 @@ from .codec import (
     write_code,
 )
 from .corpus import cycle_graph, grid_graph, path_graph, sample_graph
-from .graph import CayleyGraph, GraphError
+from .graph import GraphError
 from .library import RULE_REGISTRY
 from .machine import (
     MachineBudgetExceeded,
@@ -76,7 +76,8 @@ def load_rule(source: str, *, degree=None, labels=None, budget=10_000):
     """
     build = RULE_REGISTRY.get(source)
     if build is not None:
-        return build(degree or 2, labels or (0, 1)), None
+        return build(2 if degree is None else degree,
+                     (0, 1) if labels is None else labels), None
     path = Path(source)
     if not path.exists():
         raise CliError(f"{source!r} is neither a library rule "
@@ -87,9 +88,8 @@ def load_rule(source: str, *, degree=None, labels=None, budget=10_000):
 
 def _unstamped(x):
     # code strings carry integer labels only; drop stamps, keep the values
-    if any(hasattr(lbl, "description") for lbl in x.labels.values()):
-        return CayleyGraph(x.degree, x.vertices, x.edges,
-                           {v: lbl.value for v, lbl in x.labels.items()})
+    if any(hasattr(lbl, "description") for lbl in x.lab):
+        return x.relabel(lbl.value for lbl in x.lab)
     return x
 
 
@@ -237,8 +237,8 @@ def build_parser():
             sp.add_argument("--format", choices=("dot", "code", "summary"),
                             default="summary")
         if machine:
-            sp.add_argument("--budget-machine", type=int, default=1_000_000)
-        sp.add_argument("--budget-enum", type=int, default=10_000)
+            sp.add_argument("--budget-machine", type=_count(0), default=1_000_000)
+        sp.add_argument("--budget-enum", type=_count(0), default=10_000)
 
     sp = sub.add_parser("encode", help="print the code of a graph")
     sp.add_argument("graph", help="fixture name, code file, or - for stdin")
@@ -255,7 +255,7 @@ def build_parser():
 
     sp = sub.add_parser("validate-rule", help="check the consistency conditions")
     common(sp, rule=True)
-    sp.add_argument("--ports", type=int, default=None)
+    sp.add_argument("--ports", type=_count(1), default=None)
     sp.add_argument("--labels", type=_labels_csv, default=None)
     sp.add_argument("--samples", type=_count(1), default=1000)
     sp.add_argument("--exhaustive", action="store_true")
@@ -277,7 +277,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_machine_run)
 
     sp = sub.add_parser("enumerate-disks", help="list every disk, one code per line")
-    sp.add_argument("--ports", type=int, required=True)
+    sp.add_argument("--ports", type=_count(1), required=True)
     sp.add_argument("--labels", type=_labels_csv, default=None)
     sp.add_argument("--radius", type=int, required=True)
     common(sp)

@@ -22,6 +22,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .graph import (
     EPSILON,
@@ -30,6 +31,7 @@ from .graph import (
     GraphError,
     PortGraph,
     canonicalize,
+    from_port_array,
     name_key,
 )
 from .library import RULE_REGISTRY
@@ -87,42 +89,60 @@ def is_pair(t) -> bool:
 
 
 def render_tokens(tokens, alphabet) -> str:
-    out = []
-    for t in tokens:
-        if t == "$" or t == ";" or t == "|":
-            out.append(t)
-        elif isinstance(t, tuple) and t[0] == "lbl":
-            out.append(str(list(alphabet).index(t[1])))
-        elif is_pair(t):
-            out.append(f"({t[0]},{t[1]})")
+    """Tokens to text, each distinct token rendered once.
+
+    A label outside ``alphabet`` raises ParseError.
+    """
+    text = {"$": "$", ";": ";", "|": "|"}
+    for i, s in enumerate(alphabet):
+        text.setdefault(("lbl", s), str(i))
+    for t in set(tokens):
+        if t in text:
+            continue
+        if is_pair(t):
+            text[t] = f"({t[0]},{t[1]})"
+        elif isinstance(t, tuple) and t and t[0] == "lbl":
+            raise ParseError(f"label {t[1]!r} is not in the alphabet {tuple(alphabet)!r}")
         else:
             raise ParseError(f"unrenderable token {t!r}")
-    return "".join(out)
+    return "".join(map(text.__getitem__, tokens))
 
 
-_TOKEN_RE = re.compile(r"\$(\d+)|\((\d+),(\d+)\)|([;|])|(\s+)|(.)")
+# one piece per token, labels carrying their '$'; whitespace is no piece
+_PIECE_RE = re.compile(r"\$\d+|\(\d+,\d+\)|[;|]|\S")
+
+
+def _piece_tokens(piece, alphabet):
+    """The tokens one piece of text stands for, or None for no token."""
+    if piece == ";" or piece == "|":
+        return (piece,)
+    if piece[0] == "(" and len(piece) > 1:
+        i, j = piece[1:-1].split(",")
+        return ((int(i), int(j)),)
+    if piece[0] == "$" and len(piece) > 1 and int(piece[1:]) < len(alphabet):
+        return ("$", ("lbl", alphabet[int(piece[1:])]))
+    return None
 
 
 def parse_tokens(text: str, alphabet) -> tuple:
-    """Token string back to tokens; whitespace between tokens is fine."""
+    """Token string back to tokens; whitespace between tokens is fine.
+
+    Each distinct piece of text is read once; a piece that is no token
+    is reported at the offset of its first occurrence.
+    """
     alphabet = tuple(alphabet)
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        lbl, i, j, punct, _, junk = m.groups()
-        if lbl is not None:
-            idx = int(lbl)
-            if idx >= len(alphabet):
-                raise ParseError(f"label index {idx} outside the declared "
+    pieces = _PIECE_RE.findall(text)
+    meaning = {p: _piece_tokens(p, alphabet) for p in set(pieces)}
+    if None in meaning.values():
+        for m in _PIECE_RE.finditer(text):
+            piece = m.group()
+            if meaning[piece] is not None:
+                continue
+            if piece[0] == "$" and len(piece) > 1:
+                raise ParseError(f"label index {int(piece[1:])} outside the declared "
                                  f"alphabet at offset {m.start()}")
-            tokens.append("$")
-            tokens.append(("lbl", alphabet[idx]))
-        elif i is not None:
-            tokens.append((int(i), int(j)))
-        elif punct is not None:
-            tokens.append(punct)
-        elif junk is not None:
-            raise ParseError(f"stray character {junk!r} at offset {m.start()}")
-    return tuple(tokens)
+            raise ParseError(f"stray character {piece!r} at offset {m.start()}")
+    return tuple(chain.from_iterable(map(meaning.__getitem__, pieces)))
 
 
 _HEADER_RE = re.compile(r"^ports=(\d+)\s+labels=([\d,]+)\s*$")
@@ -151,77 +171,81 @@ def read_code(text: str) -> GraphCode:
 def encode_graph(x: PortGraph, pointer=EPSILON, alphabet=None) -> GraphCode:
     """Depth-first record of a pointed connected port graph.
 
-    Deterministic (ports scanned in ascending order), so equal pointed
-    graphs produce equal codes; the decoder is a full inverse, so the
-    code is faithful.
+    The record is read off the canonical form's port array: a graph at
+    any other pointer, or a plain ``PortGraph``, is canonicalized first.
+    Ports are scanned in ascending order, so equal pointed graphs
+    produce equal codes; the decoder is a full inverse, so the code is
+    faithful.
     """
-    if pointer not in x.vertices:
-        raise GraphError(f"pointer {pointer!r} is not a vertex")
+    if not (isinstance(x, CayleyGraph) and pointer == EPSILON):
+        x = canonicalize(x, pointer)
+    d, nbr, lab = x.degree, x.nbr, x.lab
     if alphabet is None:
-        alphabet = tuple(range(max(x.labels.values(), default=0) + 1))
-    if any(lbl not in alphabet for lbl in x.labels.values()):
+        alphabet = tuple(range(max(lab, default=0) + 1))
+    label_token = {}
+    for s in alphabet:
+        label_token.setdefault(s, ("lbl", s))
+    if any(s not in label_token for s in set(lab)):
         raise ParseError("graph label missing from the alphabet")
-    pm = x.port_map()
-    d = x.degree
-    index = {pointer: 0}
-    visit = [pointer]
-    arrival = {}
+    pairs = [(a + 1, b + 1) for a in range(d) for b in range(d)]
+    index = [-1] * len(lab)  # visit order of each id, -1 until visited
+    index[0] = 0
+    arrival = [None] * len(lab)  # the pair walked to reach each id
     tokens = []
     buf = []
 
     def emit_word(v):
         tokens.append("$")
-        tokens.append(("lbl", x.label(v)))
-        skip = arrival[v][1] if v in arrival else None
-        for i in range(1, d + 1):
-            if i == skip:
+        tokens.append(label_token[lab[v]])
+        skip = arrival[v][1] - 1 if v else -1
+        here = index[v]
+        for a in range(d):
+            s = nbr[v * d + a]
+            if s < 0 or a == skip:
                 continue
-            hit = pm.get((v, i))
-            if hit is None:
-                continue
-            y, j = hit
+            y, j = divmod(s, d)
             if y == v:
-                if i < j:
-                    tokens.append((i, j))
-            elif y in index:
-                tokens.append((i, j))
-                tokens.extend("|" * (index[v] - index[y]))
+                if a < j:
+                    tokens.append(pairs[a * d + j])
+            elif index[y] >= 0:
+                tokens.append(pairs[a * d + j])
+                tokens.extend("|" * (here - index[y]))
         tokens.append(";")
 
-    emit_word(pointer)
-    stack = [[pointer, 1]]
+    emit_word(0)
+    visited = 1
+    stack = [[0, 0]]
     while stack:
-        v, a = stack[-1]
-        if a > d:
+        top = stack[-1]
+        v, a = top
+        if a == d:
             stack.pop()
             if stack:
                 pa, pb = arrival[v]
                 buf.append((pb, pa))
             continue
-        stack[-1][1] = a + 1
-        hit = pm.get((v, a))
-        if hit is None:
+        top[1] = a + 1
+        s = nbr[v * d + a]
+        if s < 0 or index[s // d] >= 0:
             continue
-        y, b = hit
-        if y in index:
-            continue
+        y, b = divmod(s, d)
         tokens.extend(buf)
         buf.clear()
-        tokens.append((a, b))
-        index[y] = len(visit)
-        visit.append(y)
-        arrival[y] = (a, b)
+        tokens.append(pairs[a * d + b])
+        index[y] = visited
+        visited += 1
+        arrival[y] = pairs[a * d + b]
         emit_word(y)
-        stack.append([y, 1])
-    if len(index) != len(x.vertices):
-        raise GraphError("graph is not connected from the pointer")
+        stack.append([y, 0])
     return GraphCode(d, tuple(alphabet), tuple(tokens))
 
 
 def decode_graph(code: GraphCode) -> CayleyGraph:
     """Replay a traversal record into the canonical graph it describes.
 
-    Vertex v's part of the record is ``$ label (pair |*)* ; pair*``: its
+    The record is replayed into a port map over visit order, which one
+    breadth-first search then renumbers into least-word order.  Vertex
+    v's part of the record is ``$ label (pair |*)* ; pair*``: its
     word, then the walk whose last pair opens vertex v + 1 through a free
     port (the last vertex's walk runs to the end of the record).
     """
@@ -231,7 +255,6 @@ def decode_graph(code: GraphCode) -> CayleyGraph:
     end = len(tokens)
     labels = {}
     pm = {}
-    edges = []
     pos = 0
     while pos < end:
         v = len(labels)
@@ -268,7 +291,6 @@ def decode_graph(code: GraphCode) -> CayleyGraph:
                 raise ParseError(f"an edge cannot start and end on one port slot (token {pos})")
             pm[(v, i)] = (u, j)
             pm[(u, j)] = (v, i)
-            edges.append(((v, i), (u, j)))
         if pos == end:
             break
         pos += 1
@@ -282,7 +304,6 @@ def decode_graph(code: GraphCode) -> CayleyGraph:
             if hit is None:
                 pm[(v, i)] = (len(labels), j)
                 pm[(len(labels), j)] = (v, i)
-                edges.append(((v, i), (len(labels), j)))
                 break
             if hit[1] != j:
                 raise ParseError(f"walk expects port {j}, edge enters {hit[1]} "
@@ -291,7 +312,10 @@ def decode_graph(code: GraphCode) -> CayleyGraph:
         else:
             if d < 1 or any(not 1 <= p <= d for (_, p) in pm):
                 raise ParseError("pair uses a port outside 1..port_count")
-            return canonicalize(PortGraph(d, range(len(labels)), edges, labels), 0)
+            nbr = [-1] * (len(labels) * d)
+            for (v, i), (u, j) in pm.items():
+                nbr[v * d + i - 1] = u * d + j - 1
+            return from_port_array(d, nbr, labels)
     raise ParseError(f"record stops mid-word (token {end})")
 
 
@@ -309,30 +333,30 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     The emission order is fixed but arbitrary; sort by code text when
     the order matters.
 
-    Each vertex is named by its construction word: when slot (v, p)
-    opens vertex n through port q, n is named words[v] + ((p, q),).
-    That is n's least word.  Every edge is made at the earlier of its
+    The walk fills a port array (see ``cgd.graph``) over construction
+    ids: when slot (v, p) opens vertex n through port q, n's least word
+    is v's word + ((p, q),).  Every edge is made at the earlier of its
     two slots, so the first slot touching n, in the order vertex then
     port, is the one that opened it; vertices therefore open in the
     order a breadth-first search with ports scanned ascending discovers
-    them, and each gets the word that search gives it (Arrighi, Martiel
-    and Nesme's path names).  So every graph comes out canonical,
-    ``len(words[v])`` is v's distance from the pointer, and nothing is
-    renamed afterwards.
+    them (Arrighi, Martiel and Nesme's path names).  So construction
+    ids are already least-word ids, every graph comes out canonical,
+    and nothing is renumbered afterwards.
 
     The budget is decided before any graph is built.  The walk records
-    each leaf as a tuple of labels, words and edges, and raises
+    each leaf as its label tuple and port array, and raises
     BudgetExceeded on the leaf past ``budget``; graphs are built only
-    once the whole walk has fit.
+    once the whole walk has fit.  A negative budget raises GraphError.
     """
     if max_vertices is None and max_ecc is None:
         raise GraphError("need max_vertices or max_ecc to stay finite")
+    if budget is not None and budget < 0:
+        raise GraphError(f"budget must be nonnegative, got {budget}")
     alphabet = tuple(alphabet)
     d = port_count
     labels = [alphabet[0]]
-    words = [EPSILON]
-    bound = set()  # slots v * d + p - 1 whose port an earlier slot's edge took
-    edges = []
+    depth = [0]       # each vertex's distance from the pointer
+    nbr = [-1] * d    # the port array; a later slot >= 0 was taken by an earlier edge
     leaves = []
 
     def rec(s):
@@ -340,47 +364,41 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
         if s >= n * d:
             if budget is not None and len(leaves) == budget:
                 raise BudgetExceeded(budget)
-            leaves.append((tuple(labels), tuple(words), tuple(edges)))
+            leaves.append((tuple(labels), tuple(nbr)))
             return
-        if s in bound:
+        if nbr[s] >= 0:
             rec(s + 1)
             return
         # leave the slot free
         rec(s + 1)
-        v, p = divmod(s, d)
-        p += 1
-        w = words[v]
+        v = s // d
         # open a fresh vertex on it
         if ((max_vertices is None or n < max_vertices)
-                and (max_ecc is None or len(w) < max_ecc)):
-            for q in range(1, d + 1):
-                fresh = w + ((p, q),)
-                words.append(fresh)
-                bound.add(n * d + q - 1)
-                edges.append(((w, p), (fresh, q)))
+                and (max_ecc is None or depth[v] < max_ecc)):
+            nbr.extend([-1] * d)
+            depth.append(depth[v] + 1)
+            for t in range(n * d, n * d + d):
+                nbr[s], nbr[t] = t, s
                 for sigma in alphabet:
                     labels.append(sigma)
                     rec(s + 1)
                     labels.pop()
-                edges.pop()
-                bound.discard(n * d + q - 1)
-                words.pop()
+                nbr[t] = -1
+            depth.pop()
+            del nbr[n * d:]
         # close onto a later free slot
         for t in range(s + 1, n * d):
-            if t in bound:
-                continue
-            y, q = divmod(t, d)
-            bound.add(t)
-            edges.append(((w, p), (words[y], q + 1)))
-            rec(s + 1)
-            edges.pop()
-            bound.discard(t)
+            if nbr[t] < 0:
+                nbr[s], nbr[t] = t, s
+                rec(s + 1)
+                nbr[t] = -1
+        nbr[s] = -1
 
     for sigma in alphabet:
         labels[0] = sigma
         rec(0)
-    for labs, names, links in leaves:
-        yield CayleyGraph(d, names, links, dict(zip(names, labs)))
+    for labs, ports in leaves:
+        yield CayleyGraph._of(d, ports, labs)
 
 
 @lru_cache(maxsize=64)

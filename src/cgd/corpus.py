@@ -156,13 +156,13 @@ def flip_label_beyond(x: CayleyGraph, k: int, rng: random.Random, alphabet):
     Returns None when every vertex lies within radius k or the alphabet
     offers no alternative.
     """
-    deep = sorted((v for v in x.vertices if len(v) > k), key=name_key)
+    deep = [i for i, v in enumerate(x.words) if len(v) > k]  # ids run in name_key order
     if not deep:
         return None
-    v = deep[rng.randrange(len(deep))]
-    others = [s for s in alphabet if s != x.label(v)]
+    i = deep[rng.randrange(len(deep))]
+    others = [s for s in alphabet if s != x.lab[i]]
     if not others:
         return None
-    labels = dict(x.labels)
-    labels[v] = rng.choice(others)
-    return CayleyGraph(x.degree, x.vertices, x.edges, labels), len(v)
+    labels = list(x.lab)
+    labels[i] = rng.choice(others)
+    return x.relabel(labels), len(x.words[i])

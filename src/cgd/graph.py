@@ -1,4 +1,4 @@
-"""Port graphs with canonical path names.
+"""Port graphs, and canonical graphs stored as breadth-first port arrays.
 
 A port graph has bounded degree: every vertex exposes numbered ports
 1..degree and every port carries at most one edge.  An edge is an
@@ -12,16 +12,35 @@ The pointer itself is named by the empty word.  Two pointed graphs are
 isomorphic exactly when their canonical forms are equal, which makes
 canonical graphs usable as dictionary keys.
 
-One breadth-first search, ``_least_words``, names vertices shortest
-first for both ``canonicalize`` and ``disk_around``.  So in a canonical
-graph ``len(name)`` is the vertex's distance from the pointer, and
-callers read distances off name lengths instead of searching.
+What a canonical graph stores.  Ports are ordered, so a breadth-first
+search from the pointer that scans ports in ascending order meets the
+vertices in least-word order, and the first pair that reaches a vertex
+extends its least word.  So a ``CayleyGraph`` keeps integers only:
+
+* vertex ids 0..n-1 in least-word order, the pointer being 0;
+* ``nbr``, a flat port array: ``nbr[v*d + a-1]`` is ``u*d + b-1`` when
+  port a of v is joined to port b of u, and -1 when port a is free;
+* ``lab``, the label of each id.
+
+Equality and hashing read only these.  One search, ``from_port_array``,
+fills them for ``canonicalize``, ``disk_around`` and the decoder of
+``cgd.codec``; the enumerator there emits them in search order directly,
+and ``CayleyGraph.relabel`` reuses a port array under new labels.
+
+Which views are derived.  ``words`` (the least word of each id),
+``vertices``, ``edges``, ``labels``, ``label()`` and ``port_map()`` give
+the same graph named by words; each is built on first use and cached.
+In them ``len(name)`` is the vertex's distance from the pointer.  Words
+are still built where names are the interface: the rule pipeline (disk
+centres, the renaming ``walk``, rule images and the glue), rendering,
+and any caller of those views.  The codec, equality and hashing never
+build them.
 
 ``PortGraph`` treats vertex names as opaque hashables.  Three kinds
 occur:
 
-* a word: tuple of (out_port, in_port) pairs, as produced by
-  ``canonicalize`` -- the empty tuple is the pointer;
+* a word: tuple of (out_port, in_port) pairs, as in the views of a
+  canonical graph -- the empty tuple is the pointer;
 * a name set: frozenset of (word, suffix) elements, used by rewriting
   rule images, where suffix 0 stands for "the vertex itself" and
   suffixes 1..s address fresh successors;
@@ -33,7 +52,6 @@ name sets of one image disjoint, and the glue (``consistent`` and
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,39 +90,77 @@ def name_key(name):
     return (2, repr(name))
 
 
+def _checked(degree, vertices, edges, labels):
+    """Vertices, edges, labels and port map of a graph given by names, or GraphError."""
+    vertices = frozenset(vertices)
+    edges = frozenset(map(frozenset, edges))
+    labels = dict(labels)
+    if labels.keys() != vertices:
+        missing = vertices - labels.keys()
+        extra = labels.keys() - vertices
+        raise GraphError(f"labels must cover vertices exactly "
+                         f"(missing {len(missing)}, extra {len(extra)})")
+    pm = {}
+    for e in edges:
+        if len(e) != 2:
+            raise GraphError(f"edge must join two distinct port slots: {sorted(e, key=repr)}")
+        for (v, p) in e:
+            if v not in vertices:
+                raise GraphError(f"edge endpoint {v!r} is not a vertex")
+            if not (1 <= p <= degree):
+                raise GraphError(f"port {p} out of range 1..{degree}")
+            if (v, p) in pm:
+                raise PortConflict(f"port {p} of {v!r} used by two edges")
+        a, b = e
+        pm[a] = b
+        pm[b] = a
+    return vertices, edges, labels, pm
+
+
+def _least_word_form(d, vertices, pm, labels):
+    """(port array, labels, words) of a graph whose names are its least
+    words from the empty word, in least-word order; None for any other."""
+    if EPSILON not in vertices:
+        return None
+    ids = {EPSILON: 0}
+    order = [EPSILON]
+    nbr = []
+    for v in order:
+        for a in range(1, d + 1):
+            hit = pm.get((v, a))
+            if hit is None:
+                nbr.append(-1)
+                continue
+            y, b = hit
+            u = ids.get(y)
+            if u is None:
+                if y != v + ((a, b),):
+                    return None
+                u = ids[y] = len(order)
+                order.append(y)
+            nbr.append(u * d + b - 1)
+    if len(order) != len(vertices):
+        return None
+    return tuple(nbr), tuple(labels[v] for v in order), tuple(order)
+
+
 class PortGraph:
     """Immutable bounded-degree port graph with labelled vertices."""
 
     __slots__ = ("degree", "vertices", "edges", "_labels", "_hash", "_ports")
 
     def __init__(self, degree, vertices, edges, labels):
+        """Check and store a graph.  Every graph is built through here,
+        a CayleyGraph from its port array as well."""
         if degree < 1:
             raise GraphError("degree must be at least 1")
-        self.degree = degree = int(degree)
-        self.vertices = vertices = frozenset(vertices)
-        self.edges = frozenset(map(frozenset, edges))
-        self._labels = dict(labels)
+        self.degree = int(degree)
         self._hash = None
-        if self._labels.keys() != vertices:
-            missing = vertices - self._labels.keys()
-            extra = self._labels.keys() - vertices
-            raise GraphError(f"labels must cover vertices exactly "
-                             f"(missing {len(missing)}, extra {len(extra)})")
-        pm = {}
-        for e in self.edges:
-            if len(e) != 2:
-                raise GraphError(f"edge must join two distinct port slots: {sorted(e, key=repr)}")
-            for (v, p) in e:
-                if v not in vertices:
-                    raise GraphError(f"edge endpoint {v!r} is not a vertex")
-                if not (1 <= p <= degree):
-                    raise GraphError(f"port {p} out of range 1..{degree}")
-                if (v, p) in pm:
-                    raise PortConflict(f"port {p} of {v!r} used by two edges")
-            a, b = e
-            pm[a] = b
-            pm[b] = a
-        self._ports = pm
+        self._store(vertices, edges, labels)
+
+    def _store(self, vertices, edges, labels):
+        self.vertices, self.edges, self._labels, self._ports = _checked(
+            self.degree, vertices, edges, labels)
 
     def label(self, v):
         return self._labels[v]
@@ -121,31 +177,169 @@ class PortGraph:
         if not isinstance(other, PortGraph):
             return NotImplemented
         return (self.degree == other.degree and self.vertices == other.vertices
-                and self.edges == other.edges and self._labels == other._labels)
+                and self.edges == other.edges and self.labels == other.labels)
 
     def __hash__(self):
+        """Equal graphs hash equal: a graph named by its least words from
+        the empty word hashes as the CayleyGraph it equals."""
         if self._hash is None:
+            form = _least_word_form(self.degree, self.vertices, self._ports, self._labels)
             self._hash = hash((self.degree, self.vertices, self.edges,
-                               frozenset(self._labels.items())))
+                               frozenset(self._labels.items())) if form is None
+                              else (self.degree, form[0], form[1]))
         return self._hash
 
     def __repr__(self):
         return f"<{type(self).__name__} degree={self.degree} |V|={len(self.vertices)} |E|={len(self.edges)}>"
 
 
-class CayleyGraph(PortGraph):
-    """A canonical pointed connected port graph.
+_PORT_ARRAY = object()  # stands for the vertices when a CayleyGraph is built from its port array
 
-    Vertices are words of port pairs; the pointer is the empty word.
-    Instances are produced by ``canonicalize`` and are equal exactly
-    when they are isomorphic as pointed labelled port graphs.
+
+class _WordViews:
+    """The word views of one port array, each built on first use.
+
+    Names never depend on labels, so every labelling of the array
+    shares one of these.  A port map shares its slot tuples with the
+    edges, as a ``PortGraph``'s does.
     """
 
-    __slots__ = ()
+    __slots__ = ("degree", "nbr", "_words", "_ids", "_vertices", "_edges", "_ports")
+
+    def __init__(self, degree, nbr, words=None, vertices=None, edges=None, ports=None):
+        self.degree, self.nbr, self._ids = degree, nbr, None
+        self._words, self._vertices, self._edges, self._ports = words, vertices, edges, ports
+
+    @property
+    def words(self) -> tuple:
+        if self._words is None:
+            d, nbr = self.degree, self.nbr
+            words = [EPSILON] + [None] * (len(nbr) // d - 1)
+            for v, w in enumerate(words):  # a vertex's parent comes before it
+                for a in range(d):
+                    s = nbr[v * d + a]
+                    if s >= 0 and words[s // d] is None:
+                        words[s // d] = w + ((a + 1, s % d + 1),)
+            self._words = tuple(words)
+        return self._words
+
+    @property
+    def ids(self) -> dict:
+        if self._ids is None:
+            self._ids = {w: i for i, w in enumerate(self.words)}
+        return self._ids
+
+    @property
+    def vertices(self) -> frozenset:
+        if self._vertices is None:
+            self._vertices = frozenset(self.words)
+        return self._vertices
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            w, d = self.words, self.degree
+            self._edges = frozenset(
+                frozenset(((w[s // d], s % d + 1), (w[t // d], t % d + 1)))
+                for s, t in enumerate(self.nbr) if s < t)
+        return self._edges
+
+    @property
+    def ports(self) -> dict:
+        if self._ports is None:
+            pm = self._ports = {}
+            for a, b in map(tuple, self.edges):
+                pm[a] = b
+                pm[b] = a
+        return self._ports
+
+
+class CayleyGraph(PortGraph):
+    """A canonical pointed connected port graph, stored as its port array.
+
+    ``nbr`` and ``lab`` are the breadth-first form the module docstring
+    describes; equality and hashing read only them.  The word views are
+    built on first use.  ``CayleyGraph(degree, vertices, edges, labels)``
+    takes a graph named by words and raises GraphError unless every
+    name is the vertex's least word from the empty word.
+    """
+
+    __slots__ = ("nbr", "lab", "_views")
+
+    @classmethod
+    def _of(cls, degree, nbr, lab) -> CayleyGraph:
+        """The graph of a port array and label tuple already in least-word order."""
+        return cls(degree, _PORT_ARRAY, nbr, lab)
+
+    def _store(self, vertices, edges, labels):
+        self._labels = None
+        if vertices is _PORT_ARRAY:
+            self.nbr, self.lab = edges, labels
+            self._views = _WordViews(self.degree, edges)
+            return
+        vertices, edges, labels, pm = _checked(self.degree, vertices, edges, labels)
+        form = _least_word_form(self.degree, vertices, pm, labels)
+        if form is None:
+            raise GraphError("vertex names are not their least words from the empty word")
+        self.nbr, self.lab, words = form
+        self._views = _WordViews(self.degree, self.nbr, words, vertices, edges, pm)
+        self._labels = labels
 
     @property
     def pointer(self) -> Word:
         return EPSILON
+
+    @property
+    def words(self) -> tuple:
+        """The least word of each id: vertex i is named ``words[i]``."""
+        return self._views.words
+
+    @property
+    def vertices(self) -> frozenset:
+        return self._views.vertices
+
+    @property
+    def edges(self) -> frozenset:
+        return self._views.edges
+
+    @property
+    def labels(self) -> dict:
+        if self._labels is None:
+            self._labels = dict(zip(self.words, self.lab))
+        return self._labels
+
+    def label(self, v):
+        return self.labels[v]
+
+    def port_map(self) -> dict:
+        return self._views.ports
+
+    def relabel(self, labels) -> CayleyGraph:
+        """The same graph with new labels, given in id order.
+
+        Names never depend on labels, so the port array and the word
+        views are shared, not rebuilt.
+        """
+        lab = tuple(labels)
+        if len(lab) != len(self.lab):
+            raise GraphError(f"{len(lab)} labels for {len(self.lab)} vertices")
+        g = CayleyGraph._of(self.degree, self.nbr, lab)
+        g._views = self._views
+        return g
+
+    def __eq__(self, other):
+        if isinstance(other, CayleyGraph):
+            return self.degree == other.degree and self.nbr == other.nbr and self.lab == other.lab
+        return PortGraph.__eq__(self, other)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.degree, self.nbr, self.lab))
+        return self._hash
+
+    def __repr__(self):
+        n_edges = sum(s < t for s, t in enumerate(self.nbr))
+        return f"<CayleyGraph degree={self.degree} |V|={len(self.lab)} |E|={n_edges}>"
 
 
 @dataclass(frozen=True)
@@ -161,28 +355,59 @@ class Disk:
             raise GraphError("graph reaches beyond the stated radius")
 
 
-def _least_words(g: PortGraph, center, r=None) -> dict:
-    """Least word from ``center`` of each vertex within ``r`` (all if None).
+def from_port_array(degree, nbr, labels, start=0, radius=None) -> CayleyGraph:
+    """The canonical graph of the vertices within ``radius`` of ``start``.
 
-    Ports are scanned in ascending order, so a vertex first reached from
-    the vertex named w through pair (a, b) gets the least word
-    w + ((a, b),), and ``len(name)`` is its distance from ``center``.
+    ``nbr`` is a port array over any ids (see the module docstring) and
+    ``labels`` gives each id's label.  One breadth-first search from
+    ``start`` scans ports in ascending order, so the ids it hands out
+    follow least-word order.  Edges leaving the radius are dropped;
+    with ``radius`` None the search keeps every vertex it reaches.
     """
-    pm = g.port_map()
-    ports = range(1, g.degree + 1)
-    names = {center: EPSILON}
-    queue = deque([center])
-    while queue:
-        v = queue.popleft()
-        w = names[v]
-        if len(w) == r:
-            continue
-        for a in ports:
-            hit = pm.get((v, a))
-            if hit is not None and hit[0] not in names:
-                names[hit[0]] = w + ((a, hit[1]),)
-                queue.append(hit[0])
-    return names
+    d = degree
+    new = {start: 0}
+    order = [start]
+    ports = []
+    layer_end, depth = 1, 0
+    for i, v in enumerate(order):
+        if i == layer_end:
+            layer_end, depth = len(order), depth + 1
+        grow = depth != radius
+        for s in nbr[v * d:v * d + d]:
+            if s < 0:
+                ports.append(-1)
+                continue
+            u = new.get(s // d)
+            if u is None:
+                if not grow:
+                    ports.append(-1)
+                    continue
+                u = new[s // d] = len(order)
+                order.append(s // d)
+            ports.append(u * d + s % d)
+    return CayleyGraph._of(d, tuple(ports), tuple(map(labels.__getitem__, order)))
+
+
+def _search(g: PortGraph, center, radius=None) -> CayleyGraph:
+    """``from_port_array`` from the vertex ``center`` of g.
+
+    A plain ``PortGraph`` is first numbered in label order, in time
+    linear in its size.
+    """
+    d = g.degree
+    if isinstance(g, CayleyGraph):
+        nbr, lab = g.nbr, g.lab
+        start = 0 if center == EPSILON else g._views.ids.get(center)
+    else:
+        ids = {v: i for i, v in enumerate(g.labels)}
+        nbr = [-1] * (len(ids) * d)
+        for (v, a), (u, b) in g.port_map().items():
+            nbr[ids[v] * d + a - 1] = ids[u] * d + b - 1
+        lab = tuple(g.labels.values())
+        start = ids.get(center)
+    if start is None:
+        raise GraphError(f"pointer {center!r} is not a vertex")
+    return from_port_array(d, nbr, lab, start, radius)
 
 
 def canonicalize(g: PortGraph, pointer) -> CayleyGraph:
@@ -192,31 +417,32 @@ def canonicalize(g: PortGraph, pointer) -> CayleyGraph:
     """
     if isinstance(g, CayleyGraph) and pointer == EPSILON:
         return g
-    if pointer not in g.vertices:
-        raise GraphError(f"pointer {pointer!r} is not a vertex")
-    names = _least_words(g, pointer)
-    if len(names) != len(g.vertices):
-        raise DisconnectedInput(f"{len(g.vertices) - len(names)} vertices unreachable from pointer")
-    edges = [frozenset(((names[u], i), (names[v], j))) for (u, i), (v, j) in map(tuple, g.edges)]
-    labels = {w: g.label(v) for v, w in names.items()}
-    return CayleyGraph(g.degree, names.values(), edges, labels)
+    x = _search(g, pointer)
+    n = len(g.lab) if isinstance(g, CayleyGraph) else len(g.vertices)
+    if len(x.lab) != n:
+        raise DisconnectedInput(f"{n - len(x.lab)} vertices unreachable from pointer")
+    return x
 
 
-def walk(x: PortGraph, word: Word, start=EPSILON):
-    """Follow a word of port pairs from ``start`` and return the end vertex."""
-    pm = x.port_map()
-    v = start
-    if v not in x.vertices:
-        raise NoSuchPath(f"start vertex {v!r} not in graph")
+def walk(x: CayleyGraph, word: Word, start=EPSILON):
+    """Follow a word of port pairs from ``start`` and return the end vertex.
+
+    The steps run over the port array, so only ``start`` and the end are
+    words.
+    """
+    v = 0 if start == EPSILON else x._views.ids.get(start)
+    if v is None:
+        raise NoSuchPath(f"start vertex {start!r} not in graph")
+    d, nbr = x.degree, x.nbr
     for (a, b) in word:
-        hit = pm.get((v, a))
-        if hit is None:
-            raise NoSuchPath(f"no edge on port {a} of {v!r}")
-        y, b2 = hit
-        if b2 != b:
-            raise NoSuchPath(f"edge on port {a} of {v!r} enters port {b2}, not {b}")
-        v = y
-    return v
+        s = nbr[v * d + a - 1] if 1 <= a <= d else -1
+        if s < 0:
+            raise NoSuchPath(f"no edge on port {a} of {x.words[v]!r}")
+        if s % d != b - 1:
+            raise NoSuchPath(f"edge on port {a} of {x.words[v]!r} enters port "
+                             f"{s % d + 1}, not {b}")
+        v = s // d
+    return x.words[v]
 
 
 def shift(x: CayleyGraph, word: Word) -> CayleyGraph:
@@ -225,8 +451,19 @@ def shift(x: CayleyGraph, word: Word) -> CayleyGraph:
 
 
 def eccentricity(x: CayleyGraph) -> int:
-    """Distance from the pointer to the farthest vertex: the longest name."""
-    return max(map(len, x.vertices), default=0)
+    """Distance from the pointer to the farthest vertex: the last id.
+
+    A vertex's least neighbour is the one the search reached it from,
+    so the hops from the last id to the pointer are counted on the port
+    array, with no word built.
+    """
+    d, nbr = x.degree, x.nbr
+    v = len(x.lab) - 1
+    hops = 0
+    while v:
+        v = min(s for s in nbr[v * d:v * d + d] if s >= 0) // d
+        hops += 1
+    return hops
 
 
 def disk_around(x: PortGraph, center, r: int) -> Disk:
@@ -236,20 +473,12 @@ def disk_around(x: PortGraph, center, r: int) -> Disk:
     (including self-loops) are kept.  Canonical names of surviving
     vertices agree with ``shift(x, path-to-center)`` because every
     shortest path to a ball vertex stays inside the ball, so the ball's
-    least words are already its canonical names.  Edges are found
-    through the ports of the ball's own vertices, so extracting a disk
-    costs in proportion to the ball, not to |V| or |E| of ``x``.
+    least words are already its canonical names.  On a canonical graph
+    the search reads the ports of the ball's own vertices only, so
+    extracting a disk costs in proportion to the ball, not to |V| or |E|
+    of ``x``.
     """
-    names = _least_words(x, center, r)
-    pm = x.port_map()
-    edges = set()
-    for v, w in names.items():
-        for a in range(1, x.degree + 1):
-            hit = pm.get((v, a))
-            if hit is not None and hit[0] in names:
-                edges.add(frozenset(((w, a), (names[hit[0]], hit[1]))))
-    labels = {w: x.label(v) for v, w in names.items()}
-    return Disk(CayleyGraph(x.degree, names.values(), edges, labels), r)
+    return Disk(_search(x, center, r), r)
 
 
 def disk(x: CayleyGraph, r: int) -> Disk:

@@ -78,10 +78,9 @@ def label_with(x: CayleyGraph, desc: RuleDescription) -> CayleyGraph:
     if x.degree != desc.params.port_count:
         raise ParamMismatch(f"graph has {x.degree} ports, description wants "
                             f"{desc.params.port_count}")
-    if any(lbl not in desc.params.labels for lbl in x.labels.values()):
+    if any(lbl not in desc.params.labels for lbl in x.lab):
         raise ParamMismatch("graph label outside the description's alphabet")
-    return CayleyGraph(x.degree, x.vertices, x.edges,
-                       {v: SimLabel(x.label(v), desc) for v in x.vertices})
+    return x.relabel(SimLabel(lbl, desc) for lbl in x.lab)
 
 
 def universal_rule(params: RuleParams, descriptions) -> LocalRule:
@@ -105,15 +104,14 @@ def universal_rule(params: RuleParams, descriptions) -> LocalRule:
 
     def fn(dk: Disk) -> PortGraph:
         g = dk.graph
-        found = {g.label(v).description for v in g.vertices}
+        found = {lbl.description for lbl in g.lab}
         if len(found) != 1:
             raise MixedRuleDescriptions(None, dk, "disk mixes two descriptions")
         desc = found.pop()
         rule = decoded.get(desc.digest())
         if rule is None:
             rule = decoded[desc.digest()] = decode_rule(desc)
-        bare = Disk(CayleyGraph(g.degree, g.vertices, g.edges,
-                                {v: g.label(v).value for v in g.vertices}), dk.radius)
+        bare = Disk(g.relabel(lbl.value for lbl in g.lab), dk.radius)
         img = rule.image(bare)
         return PortGraph(img.degree, img.vertices, img.edges,
                          {v: SimLabel(img.label(v), desc) for v in img.vertices})

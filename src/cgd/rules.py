@@ -142,9 +142,9 @@ class LocalRule:
             raise WrongRadius(f"rule wants radius {p.radius}, got {d.radius}")
         if d.graph.degree != p.port_count:
             raise RuleError(f"rule wants {p.port_count} ports, got {d.graph.degree}")
-        for v in d.graph.vertices:
-            if d.graph.label(v) not in p.labels:
-                raise RuleError(f"disk label {d.graph.label(v)!r} outside the rule alphabet")
+        for lbl in d.graph.lab:
+            if lbl not in p.labels:
+                raise RuleError(f"disk label {lbl!r} outside the rule alphabet")
         img = self.table.get(d)
         if img is None and self.fn is not None:
             img = self.fn(d)

@@ -25,8 +25,20 @@ construction words and decides the budget before building any graph;
 both must yield equal graphs in the same order, or both raise
 ``BudgetExceeded`` with the same ``reached``.
 
+``canonicalize``, ``disk_around`` and ``encode_graph`` are the naming,
+disk and encoding code of ``cgd.graph`` and ``cgd.codec`` as they stood
+at commit 6d3f766: a breadth-first search that builds each vertex's
+least word, and a depth-first record over the port map of words.  The
+library stores canonical graphs as breadth-first port arrays and builds
+words only as views; both must give graphs with equal views and equal
+tokens.  Their results are built with the word constructor of
+``CayleyGraph``, whose views are the names handed to it.  The frozen
+decoder and enumerator above call this ``canonicalize``, the one they
+were written against.
+
 Do not edit these copies to follow the library.
 """
+from collections import deque
 from dataclasses import dataclass, replace
 
 from cgd.codec import (
@@ -38,12 +50,14 @@ from cgd.codec import (
     is_pair,
 )
 from cgd.graph import (
+    EPSILON,
     CayleyGraph,
     Consistency,
+    DisconnectedInput,
+    Disk,
     GraphError,
     InconsistentUnion,
     PortGraph,
-    canonicalize,
 )
 from cgd.machine import PLACEHOLDER, MalformedWorld, SimLabel
 
@@ -586,3 +600,123 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     for sigma in alphabet:
         labels[0] = sigma
         yield from rec(0)
+
+
+def _least_words(g: PortGraph, center, r=None) -> dict:
+    """Least word from ``center`` of each vertex within ``r`` (all if None).
+
+    Ports are scanned in ascending order, so a vertex first reached from
+    the vertex named w through pair (a, b) gets the least word
+    w + ((a, b),), and ``len(name)`` is its distance from ``center``.
+    """
+    pm = g.port_map()
+    ports = range(1, g.degree + 1)
+    names = {center: EPSILON}
+    queue = deque([center])
+    while queue:
+        v = queue.popleft()
+        w = names[v]
+        if len(w) == r:
+            continue
+        for a in ports:
+            hit = pm.get((v, a))
+            if hit is not None and hit[0] not in names:
+                names[hit[0]] = w + ((a, hit[1]),)
+                queue.append(hit[0])
+    return names
+
+
+def canonicalize(g: PortGraph, pointer) -> CayleyGraph:
+    """Rename every vertex to its least word from ``pointer``.
+
+    Raises DisconnectedInput when some vertex is unreachable.
+    """
+    if isinstance(g, CayleyGraph) and pointer == EPSILON:
+        return g
+    if pointer not in g.vertices:
+        raise GraphError(f"pointer {pointer!r} is not a vertex")
+    names = _least_words(g, pointer)
+    if len(names) != len(g.vertices):
+        raise DisconnectedInput(f"{len(g.vertices) - len(names)} vertices unreachable from pointer")
+    edges = [frozenset(((names[u], i), (names[v], j))) for (u, i), (v, j) in map(tuple, g.edges)]
+    labels = {w: g.label(v) for v, w in names.items()}
+    return CayleyGraph(g.degree, names.values(), edges, labels)
+
+
+def disk_around(x: PortGraph, center, r: int) -> Disk:
+    """The induced subgraph on the radius-r ball around ``center``, canonicalized there."""
+    names = _least_words(x, center, r)
+    pm = x.port_map()
+    edges = set()
+    for v, w in names.items():
+        for a in range(1, x.degree + 1):
+            hit = pm.get((v, a))
+            if hit is not None and hit[0] in names:
+                edges.add(frozenset(((w, a), (names[hit[0]], hit[1]))))
+    labels = {w: x.label(v) for v, w in names.items()}
+    return Disk(CayleyGraph(x.degree, names.values(), edges, labels), r)
+
+
+def encode_graph(x: PortGraph, pointer=EPSILON, alphabet=None) -> GraphCode:
+    """Depth-first record of a pointed connected port graph."""
+    if pointer not in x.vertices:
+        raise GraphError(f"pointer {pointer!r} is not a vertex")
+    if alphabet is None:
+        alphabet = tuple(range(max(x.labels.values(), default=0) + 1))
+    if any(lbl not in alphabet for lbl in x.labels.values()):
+        raise ParseError("graph label missing from the alphabet")
+    pm = x.port_map()
+    d = x.degree
+    index = {pointer: 0}
+    visit = [pointer]
+    arrival = {}
+    tokens = []
+    buf = []
+
+    def emit_word(v):
+        tokens.append("$")
+        tokens.append(("lbl", x.label(v)))
+        skip = arrival[v][1] if v in arrival else None
+        for i in range(1, d + 1):
+            if i == skip:
+                continue
+            hit = pm.get((v, i))
+            if hit is None:
+                continue
+            y, j = hit
+            if y == v:
+                if i < j:
+                    tokens.append((i, j))
+            elif y in index:
+                tokens.append((i, j))
+                tokens.extend("|" * (index[v] - index[y]))
+        tokens.append(";")
+
+    emit_word(pointer)
+    stack = [[pointer, 1]]
+    while stack:
+        v, a = stack[-1]
+        if a > d:
+            stack.pop()
+            if stack:
+                pa, pb = arrival[v]
+                buf.append((pb, pa))
+            continue
+        stack[-1][1] = a + 1
+        hit = pm.get((v, a))
+        if hit is None:
+            continue
+        y, b = hit
+        if y in index:
+            continue
+        tokens.extend(buf)
+        buf.clear()
+        tokens.append((a, b))
+        index[y] = len(visit)
+        visit.append(y)
+        arrival[y] = (a, b)
+        emit_word(y)
+        stack.append([y, 1])
+    if len(index) != len(x.vertices):
+        raise GraphError("graph is not connected from the pointer")
+    return GraphCode(d, tuple(alphabet), tuple(tokens))

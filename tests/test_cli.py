@@ -230,6 +230,11 @@ def test_simulate_prints_the_steps_before_a_failing_one(tmp_path, monkeypatch):
     ("validate-rule", "--rule", "identity", "--samples", "0"),
     ("run", "--rule", "identity", "--graph", "cycle-6", "--steps", "-2"),
     ("simulate", "--rule", "identity", "--graph", "cycle-6", "--steps", "-2"),
+    ("enumerate-disks", "--ports", "1", "--labels", "0", "--radius", "1",
+     "--budget-enum", "-1"),
+    ("machine-run", "--rule", "identity", "--graph", "cycle-6", "--budget-machine", "-1"),
+    ("enumerate-disks", "--ports", "0", "--radius", "1"),
+    ("validate-rule", "--rule", "identity", "--ports", "0"),
 ])
 def test_counts_below_their_floor_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -237,6 +242,16 @@ def test_counts_below_their_floor_are_refused(argv, capsys):
     _, err = capsys.readouterr()
     assert info.value.code == 2
     assert "must be at least" in err
+
+
+def test_a_library_rule_takes_the_port_count_it_is_given():
+    from cgd.cli import load_rule
+    from cgd.rules import RuleError
+
+    assert load_rule("identity")[0].params.port_count == 2
+    assert load_rule("identity", degree=3)[0].params.port_count == 3
+    with pytest.raises(RuleError):
+        load_rule("identity", degree=0)
 
 
 # every flag each subcommand's cmd_* function reads, and no other

@@ -429,3 +429,15 @@ def test_holes_survive_the_description():
     back = decode_rule(desc)
     with pytest.raises(PartialRuleHole):
         back.image(keys[0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("$0;(1,2)$5;", "label index 5 outside the declared alphabet at offset 8"),
+    ("$0; (1,2)x$0;", "stray character 'x' at offset 9"),
+    ("$0;(1,2$0;", "stray character '(' at offset 3"),
+    ("$0;$;$9;", "stray character '$' at offset 3"),
+])
+def test_parse_reports_the_first_bad_piece_at_its_offset(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_tokens(text + " $7 ?", (0, 1))
+    assert str(info.value) == message
