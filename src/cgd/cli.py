@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .codec import (
-    BudgetExceeded,
     ParseError,
     decode_graph,
     decode_rule,
@@ -28,13 +27,11 @@ from .corpus import cycle_graph, grid_graph, path_graph, sample_graph
 from .graph import GraphError
 from .library import RULE_REGISTRY
 from .machine import (
-    MachineBudgetExceeded,
-    MalformedWorld,
-    ParamMismatch,
     build_machine_world,
     finished_graph,
     simulation_history,
     trace,
+    unstamped,
 )
 from .render import summary_line, to_dot
 from .rules import PartialRuleHole, RuleError, apply_rule, validate_local_rule
@@ -51,8 +48,8 @@ FIXTURES = {
 }
 
 
-class CliError(Exception):
-    pass
+class CliError(ParseError):
+    """A command line naming no fixture, file or library rule."""
 
 
 def load_graph(source: str):
@@ -68,11 +65,11 @@ def load_graph(source: str):
     return decode_graph(read_code(path.read_text()))
 
 
-def load_rule(source: str, *, degree=None, labels=None, budget=10_000):
+def load_rule(source: str, *, degree=None, labels=None):
     """A rule plus its description; library names size themselves to the graph.
 
     Library rules come without a description (None); a rule file's is
-    the one it was decoded from.
+    the one it was decoded from, at the size its own entries give.
     """
     build = RULE_REGISTRY.get(source)
     if build is not None:
@@ -83,22 +80,14 @@ def load_rule(source: str, *, degree=None, labels=None, budget=10_000):
         raise CliError(f"{source!r} is neither a library rule "
                        f"({', '.join(RULE_REGISTRY)}) nor a file")
     desc = read_rule(path.read_text())
-    return decode_rule(desc, budget=budget), desc
-
-
-def _unstamped(x):
-    # code strings carry integer labels only; drop stamps, keep the values
-    if any(hasattr(lbl, "description") for lbl in x.lab):
-        return x.relabel(lbl.value for lbl in x.lab)
-    return x
+    return decode_rule(desc), desc
 
 
 def emit(x, fmt, out, step=None):
     if fmt == "dot":
         out.write(to_dot(x))
-    elif fmt == "code":
-        y = _unstamped(x)
-        out.write(encode_graph(y).text + "\n")
+    elif fmt == "code":  # code strings carry integer labels only
+        out.write(encode_graph(unstamped(x)).text + "\n")
     out.write(summary_line(x, step) + "\n")
 
 
@@ -121,12 +110,12 @@ def _graph_and_rule(args, *, describe=False, description=None):
     With ``describe``, a rule without a description is encoded into one.
     """
     x = load_graph(args.graph)
-    labels = tuple(range(max(x.labels.values(), default=0) + 1))
+    labels = tuple(range(max(x.lab, default=0) + 1))
     degree, override = x.degree, None
     if description:
         override = read_rule(Path(description).read_text())
         degree, labels = override.params.port_count, override.params.labels
-    f, desc = load_rule(args.rule, degree=degree, labels=labels, budget=args.budget_enum)
+    f, desc = load_rule(args.rule, degree=degree, labels=labels)
     if f.params.port_count != x.degree:
         raise CliError(f"rule works on {f.params.port_count}-port graphs, "
                        f"graph has {x.degree}")
@@ -157,8 +146,7 @@ def cmd_run(args, out):
 
 
 def cmd_validate_rule(args, out):
-    f, _ = load_rule(args.rule, degree=args.ports, labels=args.labels,
-                     budget=args.budget_enum)
+    f, _ = load_rule(args.rule, degree=args.ports, labels=args.labels)
     report = validate_local_rule(f, exhaustive=args.exhaustive, samples=args.samples,
                                  budget=args.budget_enum, seed=args.seed)
     out.write(f"checked {report.checked} cases ({report.coverage}), bound "
@@ -197,8 +185,7 @@ def cmd_machine_run(args, out):
 
 def cmd_enumerate_disks(args, out):
     labels = args.labels or (0, 1)
-    disks = enumerate_disks(args.ports, labels, args.radius,
-                            budget=args.budget_enum)
+    disks = enumerate_disks(args.ports, labels, args.radius, budget=args.budget_enum)
     for dk in disks:
         out.write(encode_graph(dk.graph, alphabet=labels).text + "\n")
     out.write(f"{len(disks)} disks of radius {args.radius} "
@@ -224,7 +211,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="cgd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, rule=False, graph=False, steps=False, fmt=False, machine=False):
+    def common(sp, *, rule=False, graph=False, steps=False, fmt=False, machine=False, enum=True):
         if rule:
             sp.add_argument("--rule", required=True,
                             help="library rule name or rule file")
@@ -238,7 +225,8 @@ def build_parser():
                             default="summary")
         if machine:
             sp.add_argument("--budget-machine", type=_count(0), default=1_000_000)
-        sp.add_argument("--budget-enum", type=_count(0), default=10_000)
+        if enum:
+            sp.add_argument("--budget-enum", type=_count(0), default=10_000)
 
     sp = sub.add_parser("encode", help="print the code of a graph")
     sp.add_argument("graph", help="fixture name, code file, or - for stdin")
@@ -250,7 +238,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_decode)
 
     sp = sub.add_parser("run", help="iterate a rule, emitting every step")
-    common(sp, rule=True, graph=True, steps=True, fmt=True)
+    common(sp, rule=True, graph=True, steps=True, fmt=True, enum=False)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("validate-rule", help="check the consistency conditions")
@@ -288,8 +276,7 @@ def build_parser():
 
 def _render_error(e) -> str:
     if isinstance(e, PartialRuleHole) and e.disk is not None:
-        g = _unstamped(e.disk.graph)
-        return f"{e} (offending disk: {encode_graph(g).text})"
+        return f"{e} (offending disk: {encode_graph(unstamped(e.disk.graph)).text})"
     return str(e)
 
 
@@ -297,8 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except (CliError, ParseError, GraphError, RuleError, ParamMismatch,
-            MalformedWorld, MachineBudgetExceeded, BudgetExceeded, OSError) as e:
+    except (ParseError, GraphError, RuleError, OSError) as e:  # CliError is a ParseError
         print(f"error: {_render_error(e)}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ from .graph import (
     PortGraph,
     canonicalize,
     from_port_array,
-    name_key,
 )
 from .library import RULE_REGISTRY
 from .rules import (
@@ -45,7 +44,7 @@ from .rules import (
 
 
 class ParseError(Exception):
-    pass
+    """Text, a tape or a command line that cannot be read."""
 
 
 class DanglingBacktrack(ParseError):
@@ -56,11 +55,11 @@ class PortReuse(ParseError):
     """A code asks for two edges on one port."""
 
 
-class BadIndex(Exception):
-    """An image rank outside the image space of its key disk."""
+class BadIndex(RuleError):
+    """A description's image rank outside the image space of its key disk."""
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(GraphError):
     def __init__(self, reached):
         self.reached = reached
         super().__init__(f"budget exceeded after {reached} items")
@@ -401,36 +400,44 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
         yield CayleyGraph._of(d, ports, labs)
 
 
-@lru_cache(maxsize=64)
-def _catalog_or_trip(port_count, alphabet, radius, budget):
-    try:
-        graphs = list(enumerate_canonical_graphs(port_count, alphabet,
-                                                 max_ecc=radius, budget=budget))
-    except BudgetExceeded as trip:
-        return trip
-    keyed = sorted(((encode_graph(g, alphabet=alphabet).text, g) for g in graphs),
-                   key=lambda pair: pair[0])
-    disks = tuple(Disk(g, radius) for _, g in keyed)
-    digest = hashlib.sha256("\n".join(t for t, _ in keyed).encode()).hexdigest()
-    return disks, digest
+# (port_count, alphabet, radius) -> (disks, digest) once the catalog has fit a
+# budget, else the largest budget at which its walk tripped
+_CATALOGS = {}
 
 
 def _disk_catalog(port_count, alphabet, radius, budget):
     """A catalog's disks in code-text order and the sha256 of those texts.
 
-    Both outcomes are remembered per key: a catalog that fits, and a
-    budget trip, which is raised again without walking again.
+    One outcome is remembered per key, so a catalog that fits is walked
+    once: it is served to any budget it fits and trips any smaller one
+    unwalked, as a budget no larger than a remembered trip does.
     """
-    got = _catalog_or_trip(port_count, alphabet, radius, budget)
-    if isinstance(got, BudgetExceeded):
-        raise got.with_traceback(None)
+    if budget is not None and budget < 0:
+        raise GraphError(f"budget must be nonnegative, got {budget}")
+    key = (port_count, alphabet, radius)
+    got = _CATALOGS.get(key, -1)  # as if tripped at -1: any budget may fit
+    known = isinstance(got, tuple)
+    if budget is not None and budget < (len(got[0]) if known else got + 1):
+        raise BudgetExceeded(budget)
+    if known:
+        return got
+    try:
+        graphs = list(enumerate_canonical_graphs(port_count, alphabet,
+                                                 max_ecc=radius, budget=budget))
+    except BudgetExceeded:
+        _CATALOGS[key] = budget
+        raise
+    keyed = sorted(((encode_graph(g, alphabet=alphabet).text, g) for g in graphs),
+                   key=lambda pair: pair[0])
+    disks = tuple(Disk(g, radius) for _, g in keyed)
+    digest = hashlib.sha256("\n".join(t for t, _ in keyed).encode()).hexdigest()
+    got = _CATALOGS[key] = disks, digest
     return got
 
 
 def enumerate_disks(port_count, alphabet, radius, budget=None) -> list:
     """All disks of the given radius, sorted by their code text."""
-    disks, _ = _disk_catalog(port_count, tuple(alphabet), radius, budget)
-    return list(disks)
+    return list(_disk_catalog(port_count, tuple(alphabet), radius, budget)[0])
 
 
 # --- image ranking -----------------------------------------------------------
@@ -458,8 +465,7 @@ def _partition_counts(m_elems, k):
 
 def _image_space(params: RuleParams, key: Disk):
     """The key disk's name elements in rank order, and the image counts by size k = 1..bound."""
-    elems = [(v, z) for v in sorted(key.graph.vertices, key=name_key)
-             for z in range(params.suffix_count + 1)]
+    elems = [(v, z) for v in key.graph.words for z in range(params.suffix_count + 1)]
     m, d = len(params.labels), params.port_count
     return elems, [_partition_counts(len(elems), k)[1][1] * m ** k * _involutions(k * d)
                    for k in range(1, params.bound + 1)]
@@ -524,16 +530,15 @@ def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
 
 def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
     """Inverse of ``rank_image``; out-of-range ranks raise BadIndex."""
-    if rank < 0:
-        raise BadIndex(rank)
     elems, counts = _image_space(params, key)
     rest = rank
     for k, count_k in enumerate(counts, 1):
-        if rest < count_k:
+        if 0 <= rest < count_k:
             break
         rest -= count_k
     else:
-        raise BadIndex(rank)
+        raise BadIndex(f"rank {rank} is outside the {sum(counts)} images of the disk "
+                       f"{encode_graph(key.graph).text}")
     m_elems = len(elems)
     m = len(params.labels)
     d = params.port_count
@@ -649,19 +654,19 @@ def encode_rule(f: LocalRule, budget=10_000) -> RuleDescription:
     entries = []
     for key in disks:
         try:
-            img = f.image(key)
+            entries.append(rank_image(p, key, f.image(key)))
         except PartialRuleHole:
             entries.append(None)
-            continue
-        entries.append(rank_image(p, key, img))
     return RuleDescription(p, entries=entries, catalog_hash=digest)
 
 
-def decode_rule(desc: RuleDescription, budget=10_000) -> LocalRule:
+def decode_rule(desc: RuleDescription) -> LocalRule:
     """Rebuild a working rule from its description.
 
     A keyed description is built by its ``RULE_REGISTRY`` entry, which
-    must produce exactly the described params.
+    must produce exactly the described params.  A dense one is sized by
+    its own entries: its catalog is walked with one disk per entry as
+    the budget, and a larger catalog is a count that does not match.
     """
     p = desc.params
     if desc.registry_key is not None:
@@ -673,19 +678,20 @@ def decode_rule(desc: RuleDescription, budget=10_000) -> LocalRule:
             raise RuleError(f"description params {p} do not match "
                             f"the registered rule's {rule.params}")
         return rule
-    disks, digest = _disk_catalog(p.port_count, p.labels, p.radius, budget)
+    n = len(desc.entries)
+    try:
+        disks, digest = _disk_catalog(p.port_count, p.labels, p.radius, n)
+    except BudgetExceeded:
+        raise RuleError(f"{n} entries for more than {n} catalog disks") from None
     if desc.catalog_hash is not None and desc.catalog_hash != digest:
         raise RuleError("description was made against a different disk catalog")
-    if len(desc.entries) != len(disks):
-        raise RuleError(f"{len(desc.entries)} entries for {len(disks)} catalog disks")
-    at = {key: i for i, key in enumerate(disks)}
-    entries = desc.entries
+    if n != len(disks):
+        raise RuleError(f"{n} entries for {len(disks)} catalog disks")
+    rank = {key: e for key, e in zip(disks, desc.entries) if e is not None}
 
     def fn(d):
-        i = at.get(d)
-        if i is None or entries[i] is None:
-            return None
-        return unrank_image(p, d, entries[i])
+        r = rank.get(d)
+        return None if r is None else unrank_image(p, d, r)
 
     return LocalRule(p, fn=fn)
 
@@ -726,9 +732,8 @@ def read_rule(text: str) -> RuleDescription:
         return RuleDescription(params, registry_key=body[len("registry="):])
     if not body.startswith("catalog="):
         raise ParseError("expected a registry= or catalog= line")
-    digest = body[len("catalog="):]
-    entries = []
-    for ln in lines[2:]:
-        for w in ln.split():
-            entries.append(None if w == "-" else int(w))
-    return RuleDescription(params, entries=entries, catalog_hash=digest)
+    try:
+        entries = [None if w == "-" else int(w) for ln in lines[2:] for w in ln.split()]
+    except ValueError as e:
+        raise ParseError(f"a rule entry is neither '-' nor a rank ({e})") from None
+    return RuleDescription(params, entries=entries, catalog_hash=body[len("catalog="):])

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import EPSILON, CayleyGraph, PortGraph, canonicalize, disk, name_key
+from .graph import EPSILON, CayleyGraph, PortGraph, canonicalize, disk
 
 
 def _fill(vertices, label):
@@ -114,10 +114,9 @@ def grow_beyond(core: CayleyGraph, k: int, rng: random.Random, extra: int,
     other), so every one of them sits at distance at least k + 1 and no
     edge inside the ball changes.
     """
-    used = {slot for e in core.edges for slot in e}
-    open_slots = [(v, p)
-                  for v in sorted(core.vertices, key=name_key) if len(v) == k
-                  for p in range(1, core.degree + 1) if (v, p) not in used]
+    d = core.degree
+    open_slots = [(v, p) for i, v in enumerate(core.words) if len(v) == k
+                  for p in range(1, d + 1) if core.nbr[i * d + p - 1] < 0]
     vertices = list(core.vertices)
     edges = [tuple(e) for e in core.edges]
     labels = dict(core.labels)
@@ -129,15 +128,15 @@ def grow_beyond(core: CayleyGraph, k: int, rng: random.Random, extra: int,
         slot = pool[rng.randrange(len(pool))]
         (open_slots if slot in open_slots else new_slots).remove(slot)
         name = f"g{i}"
-        q = rng.randrange(1, core.degree + 1)
+        q = rng.randrange(1, d + 1)
         vertices.append(name)
         labels[name] = rng.choice(alphabet)
         edges.append((slot, (name, q)))
-        new_slots.extend((name, r) for r in range(1, core.degree + 1) if r != q)
+        new_slots.extend((name, r) for r in range(1, d + 1) if r != q)
     rng.shuffle(new_slots)
     while len(new_slots) >= 2 and rng.random() < 0.4:
         edges.append((new_slots.pop(), new_slots.pop()))
-    return canonicalize(PortGraph(core.degree, vertices, edges, labels), EPSILON)
+    return canonicalize(PortGraph(d, vertices, edges, labels), EPSILON)
 
 
 def divergent_pair(seed, *, k: int, degree=3, size=12, alphabet=(0, 1)):

@@ -189,8 +189,13 @@ class PortGraph:
                               else (self.degree, form[0], form[1]))
         return self._hash
 
+    def counts(self) -> tuple:
+        """(|V|, |E|)."""
+        return len(self.vertices), len(self.edges)
+
     def __repr__(self):
-        return f"<{type(self).__name__} degree={self.degree} |V|={len(self.vertices)} |E|={len(self.edges)}>"
+        return "<{} degree={} |V|={} |E|={}>".format(type(self).__name__, self.degree,
+                                                     *self.counts())
 
 
 _PORT_ARRAY = object()  # stands for the vertices when a CayleyGraph is built from its port array
@@ -337,9 +342,8 @@ class CayleyGraph(PortGraph):
             self._hash = hash((self.degree, self.nbr, self.lab))
         return self._hash
 
-    def __repr__(self):
-        n_edges = sum(s < t for s, t in enumerate(self.nbr))
-        return f"<CayleyGraph degree={self.degree} |V|={len(self.lab)} |E|={n_edges}>"
+    def counts(self) -> tuple:  # no word is built; an edge counts at its lower slot
+        return len(self.lab), sum(s < t for s, t in enumerate(self.nbr))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codec import GraphCode, RuleDescription, decode_rule, encode_rule, is_pair
+from .codec import GraphCode, ParseError, RuleDescription, decode_rule, encode_rule, is_pair
 from .graph import (
     CayleyGraph,
     Disk,
@@ -42,18 +42,18 @@ from .graph import (
     canonicalize,
     distance,
 )
-from .rules import LocalRule, PartialRuleHole, RuleParams, apply_rule
+from .rules import LocalRule, PartialRuleHole, RuleError, RuleParams, apply_rule
 
 
-class MalformedWorld(Exception):
-    """The machine met a world its protocol cannot read."""
+class MalformedWorld(ParseError):
+    """The machine, a reader of graph codes, met a world it cannot read."""
 
 
-class ParamMismatch(Exception):
-    pass
+class ParamMismatch(RuleError):
+    """A graph, code or description outside a description's params."""
 
 
-class MachineBudgetExceeded(Exception):
+class MachineBudgetExceeded(RuleError):
     def __init__(self, steps):
         self.steps = steps
         super().__init__(f"machine still running after {steps} steps")
@@ -83,13 +83,21 @@ def label_with(x: CayleyGraph, desc: RuleDescription) -> CayleyGraph:
     return x.relabel(SimLabel(lbl, desc) for lbl in x.lab)
 
 
+def unstamped(x: CayleyGraph) -> CayleyGraph:
+    """Undo ``label_with``: each stamped label gives way to its value."""
+    return x.relabel(lbl.value if isinstance(lbl, SimLabel) else lbl for lbl in x.lab)
+
+
 def universal_rule(params: RuleParams, descriptions) -> LocalRule:
     """One rule that runs any of the described rules, told apart by labels.
 
-    A disk whose labels all carry description <f> is stripped bare,
-    fed to the decoded f, and the image is stamped back with <f>.
-    Naming never looks at labels, so the underlying dynamics is
-    reproduced step for step with no slowdown.
+    A disk whose labels all carry description <f> is stripped bare, fed
+    to the decoded f's image function, and the image is stamped back
+    with <f>; f's holes stay holes.  Only the stamped image is checked
+    and memoized: it has the bare image's names, and its labels are in
+    the alphabet exactly when the bare ones are in f's.  Naming never
+    looks at labels, so the underlying dynamics is reproduced step for
+    step with no slowdown.
     """
     descs = tuple(descriptions)
     if not descs:
@@ -97,22 +105,19 @@ def universal_rule(params: RuleParams, descriptions) -> LocalRule:
     for d in descs:
         if d.params != params:
             raise ParamMismatch(f"description params {d.params} differ from {params}")
-    alphabet = tuple(SimLabel(s, d) for d in descs for s in params.labels)
-    uparams = RuleParams(params.port_count, alphabet, params.radius,
-                         params.bound, params.suffix_count)
-    decoded = {}
+    uparams = replace(params, labels=tuple(SimLabel(s, d) for d in descs for s in params.labels))
+    image_fns = {}  # description -> the decoded rule's image function
 
     def fn(dk: Disk) -> PortGraph:
-        g = dk.graph
-        found = {lbl.description for lbl in g.lab}
+        found = {lbl.description for lbl in dk.graph.lab}
         if len(found) != 1:
             raise MixedRuleDescriptions(None, dk, "disk mixes two descriptions")
         desc = found.pop()
-        rule = decoded.get(desc.digest())
-        if rule is None:
-            rule = decoded[desc.digest()] = decode_rule(desc)
-        bare = Disk(g.relabel(lbl.value for lbl in g.lab), dk.radius)
-        img = rule.image(bare)
+        if desc not in image_fns:
+            image_fns[desc] = decode_rule(desc).fn
+        img = image_fns[desc](Disk(unstamped(dk.graph), dk.radius))
+        if img is None:
+            return None
         return PortGraph(img.degree, img.vertices, img.edges,
                          {v: SimLabel(img.label(v), desc) for v in img.vertices})
 
@@ -146,13 +151,13 @@ def simulation_history(f: LocalRule, x: CayleyGraph, steps: int,
     univ = universal_rule(f.params, (desc,))
     plain = x
     lifted = label_with(x, desc) if start is None else start
-    yield 0, len(x.vertices), len(x.edges), None
+    yield (0, *x.counts(), None)
     for k in range(1, steps + 1):
         plain = apply_rule(f, plain)
         lifted = apply_rule(univ, lifted)
         want = label_with(plain, desc)
         gap = None if lifted == want else distance(lifted, want)
-        yield k, len(plain.vertices), len(plain.edges), gap
+        yield (k, *plain.counts(), gap)
         if gap:
             return
 
@@ -589,8 +594,7 @@ def finished_graph(world: MachineWorld) -> CayleyGraph:
     d = world.port_count
     if any(p > d for e in g.edges for _, p in e):
         raise MalformedWorld("a hook port is still in use")
-    built = PortGraph(d, g.vertices, g.edges, g.labels)
-    return canonicalize(built, world.root)
+    return canonicalize(PortGraph(d, g.vertices, g.edges, g.labels), world.root)
 
 
 def run_machine(world: MachineWorld, budget=1_000_000) -> CayleyGraph:

@@ -40,4 +40,5 @@ def to_dot(x: PortGraph, pointer=EPSILON, name: str = "g") -> str:
 
 def summary_line(x: PortGraph, step: int = None) -> str:
     head = f"step {step}: " if step is not None else ""
-    return f"{head}|V|={len(x.vertices)} |E|={len(x.edges)}"
+    nv, ne = x.counts()
+    return f"{head}|V|={nv} |E|={ne}"

@@ -25,7 +25,6 @@ from .graph import (
     disk,
     disk_around,
     glue_all,
-    name_key,
     walk,
 )
 
@@ -182,7 +181,7 @@ def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
 
 def step_glued(f: LocalRule, x: CayleyGraph):
     """All rewritten images glued together, before renaming; and the new pointer."""
-    parts = [_normalized_image(f, x, u) for u in sorted(x.vertices, key=name_key)]
+    parts = [_normalized_image(f, x, u) for u in x.words]
     glued = glue_all(parts)
     pointer = next(v for v in glued.vertices if EPS_ELEM in v)
     return glued, pointer
@@ -230,9 +229,9 @@ def _check_ambient(f: LocalRule, ambient: CayleyGraph, near_only: bool, witnesse
     ambient: a name's length is its distance from the center)."""
     reach = 1 if near_only else 2 * f.params.radius + 2
     center = _normalized_image(f, ambient, EPSILON)
-    for u in sorted(ambient.vertices, key=name_key):
-        if not 0 < len(u) <= reach:
-            continue
+    for u in ambient.words[1:]:  # in name_key order, so by distance from the center
+        if len(u) > reach:
+            break
         other = _normalized_image(f, ambient, u)
         verdict = consistent(center, other)
         if not verdict.ok:

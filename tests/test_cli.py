@@ -5,10 +5,17 @@ import sys
 import pytest
 
 from cgd.cli import build_parser, main
-from cgd.codec import RuleDescription, encode_rule, enumerate_disks, write_rule
+from cgd.codec import (
+    RuleDescription,
+    encode_graph,
+    encode_rule,
+    enumerate_disks,
+    image_space_size,
+    write_rule,
+)
 from cgd.corpus import cycle_graph
 from cgd.graph import PortGraph, disk
-from cgd.library import identity_rule
+from cgd.library import identity_rule, xor_label_rule
 from cgd.rules import LocalRule
 
 FIG4 = "$1;(1,1)$0;(2,3)$0(2,3)||;(1,1)$1(2,3)||;"
@@ -258,7 +265,7 @@ def test_a_library_rule_takes_the_port_count_it_is_given():
 FLAGS = {
     "encode": set(),
     "decode": {"--format"},
-    "run": {"--rule", "--graph", "--steps", "--format", "--budget-enum"},
+    "run": {"--rule", "--graph", "--steps", "--format"},
     "validate-rule": {"--rule", "--ports", "--labels", "--samples", "--exhaustive",
                       "--seed", "--budget-enum"},
     "simulate": {"--rule", "--graph", "--steps", "--description", "--via-machine",
@@ -275,3 +282,40 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     for name, sp in sub.choices.items():
         flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
         assert flags == FLAGS[name], name
+
+
+def test_a_rule_file_decodes_at_its_own_size_whatever_the_budget(tmp_path, capsys):
+    f = tmp_path / "xor.rule"
+    f.write_text(write_rule(encode_rule(xor_label_rule(2))))  # 1,564 entries
+    code, out, err = run_cli("simulate", "--rule", str(f), "--graph", "cycle-6",
+                             "--steps", "2", "--budget-enum", "100", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "Pass (delta=1, 2 steps)"
+    code, out, err = run_cli("run", "--rule", str(f), "--graph", "cycle-6", capsys=capsys)
+    assert (code, err) == (0, "")
+
+
+def test_a_rank_past_the_image_space_is_a_one_line_error(tmp_path, capsys):
+    full = encode_rule(identity_rule(2, (0,)))
+    f = tmp_path / "huge-rank.rule"
+    f.write_text(write_rule(RuleDescription(full.params, entries=[10**30] * len(full.entries),
+                                            catalog_hash=full.catalog_hash)))
+    code, out, err = run_cli("run", "--rule", str(f), "--graph", "cycle-6", capsys=capsys)
+    assert code == 2
+    assert out.splitlines() == ["step 0: |V|=6 |E|=6"]
+    ring = disk(cycle_graph(6), full.params.radius)
+    size = image_space_size(full.params, ring)
+    assert err == (f"error: rank {10**30} is outside the {size} images of the disk "
+                   f"{encode_graph(ring.graph).text}\n")
+
+
+def test_every_error_class_derives_from_a_documented_base():
+    import cgd
+
+    bases = (cgd.GraphError, cgd.RuleError, cgd.ParseError)
+    found = [c for m in list(sys.modules.values()) if m.__name__.startswith("cgd.")
+             for c in vars(m).values()
+             if isinstance(c, type) and issubclass(c, BaseException)
+             and c.__module__ == m.__name__]
+    assert len(found) >= 18
+    assert [c.__name__ for c in found if not issubclass(c, bases)] == []

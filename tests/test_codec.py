@@ -13,7 +13,7 @@ from cgd.codec import (
     ParseError,
     PortReuse,
     RuleDescription,
-    _catalog_or_trip,
+    _CATALOGS,
     _disk_catalog,
     decode_graph,
     decode_rule,
@@ -269,24 +269,70 @@ def test_enumeration_agrees_with_the_frozen_oracle(graphs_built):
 
 
 def test_a_budget_trip_builds_no_graph(graphs_built):
-    _catalog_or_trip.cache_clear()
+    _CATALOGS.clear()
     with pytest.raises(BudgetExceeded) as info:
         enumerate_disks(2, (0, 1), 5, budget=10_000)
     assert info.value.reached == 10_000
     assert len(graphs_built) == 0
-    _catalog_or_trip.cache_clear()
+    _CATALOGS.clear()
     assert len(enumerate_disks(2, (0, 1), 2)) == 1564
     assert len(graphs_built) == 1564
 
 
 def test_a_budget_trip_is_remembered(monkeypatch):
-    _catalog_or_trip.cache_clear()
+    _CATALOGS.clear()
     with pytest.raises(BudgetExceeded) as first:
         enumerate_disks(2, (0, 1), 3, budget=100)
     monkeypatch.setattr("cgd.codec.enumerate_canonical_graphs", None)  # no second walk
-    with pytest.raises(BudgetExceeded) as again:
-        enumerate_disks(2, (0, 1), 3, budget=100)
-    assert again.value is first.value
+    for budget in (100, 40):
+        with pytest.raises(BudgetExceeded) as again:
+            enumerate_disks(2, (0, 1), 3, budget=budget)
+        assert again.value.reached == budget
+    assert first.value.reached == 100
+
+
+@pytest.fixture
+def catalog_walks(monkeypatch):
+    """A list that grows by one per walk of the enumerator."""
+    walks = []
+    real = enumerate_canonical_graphs
+    monkeypatch.setattr("cgd.codec.enumerate_canonical_graphs",
+                        lambda *args, **kwargs: walks.append(args) or real(*args, **kwargs))
+    return walks
+
+
+def test_a_catalog_is_walked_once_and_served_to_any_budget_it_fits(catalog_walks):
+    _CATALOGS.clear()
+    with pytest.raises(BudgetExceeded):
+        enumerate_disks(2, (0, 1), 1, budget=10)
+    disks = enumerate_disks(2, (0, 1), 1, budget=None)  # walks again: None is past 10
+    assert len(catalog_walks) == 2
+    assert enumerate_disks(2, (0, 1), 1, budget=len(disks)) == disks
+    assert enumerate_disks(2, (0, 1), 1, budget=10_000) == disks
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_disks(2, (0, 1), 1, budget=len(disks) - 1)
+    assert info.value.reached == len(disks) - 1
+    assert len(catalog_walks) == 2
+
+
+def test_decoding_right_after_encoding_walks_no_catalog(catalog_walks):
+    desc = encode_rule(xor_label_rule(2), budget=2_000)  # any budget the catalog fits
+    walks = len(catalog_walks)
+    decode_rule(desc)
+    assert len(catalog_walks) == walks
+
+
+def test_a_description_decodes_at_its_own_size(graphs_built):
+    desc = encode_rule(identity_rule(2, (0, 1)))
+    short = RuleDescription(desc.params, entries=desc.entries[:-1],
+                            catalog_hash=desc.catalog_hash)
+    _CATALOGS.clear()
+    graphs_built.clear()
+    with pytest.raises(RuleError, match="91 entries for more than 91 catalog disks"):
+        decode_rule(short)  # the walk trips at the description's size
+    assert len(graphs_built) == 0
+    assert decode_rule(desc).params == desc.params  # the full one fits and is walked
+    assert len(graphs_built) == len(desc.entries)
 
 
 # --- image ranking -----------------------------------------------------------

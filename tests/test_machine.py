@@ -15,7 +15,7 @@ from cgd.codec import (
     parse_tokens,
 )
 from cgd.corpus import cycle_graph, grid_graph, path_graph, random_graph, sample_graph
-from cgd.graph import GraphError, PortConflict, PortGraph, canonicalize
+from cgd.graph import GraphError, PortConflict, PortGraph, canonicalize, disk
 from cgd.library import identity_rule, inflating_grid_rule, xor_label_rule
 from cgd.machine import (
     MachineBudgetExceeded,
@@ -33,7 +33,7 @@ from cgd.machine import (
     world_port_count,
     _PortTable,
 )
-from cgd.rules import LocalRule, RuleParams, apply_rule
+from cgd.rules import LocalRule, PartialRuleHole, RuleParams, apply_rule
 
 IDD2 = encode_rule(identity_rule(2, (0, 1)))
 IDD3 = encode_rule(identity_rule(3, (0, 1)))
@@ -98,7 +98,6 @@ def test_mixed_stamps_in_one_disk_refuse_to_run():
     mixed = type(x)(x.degree, x.vertices, x.edges,
                     {u: (SimLabel(0, keyed) if u == v else x.label(u))
                      for u in x.vertices})
-    from cgd.graph import disk
     with pytest.raises(MixedRuleDescriptions):
         univ.image(disk(mixed, 1))
 
@@ -130,6 +129,32 @@ def test_zero_delay_simulation_xor():
 def test_zero_delay_simulation_inflating():
     rep = check_intrinsic_simulation(inflating_grid_rule(), grid_graph(2, 2), 2)
     assert rep.ok
+
+
+def test_the_universal_rule_looks_up_stamped_disks_only(monkeypatch):
+    f = xor_label_rule(2)
+    seen = []
+    image = LocalRule.image
+
+    def recorded(rule, dk):
+        seen.append((rule, dk))
+        return image(rule, dk)
+
+    monkeypatch.setattr(LocalRule, "image", recorded)
+    assert check_intrinsic_simulation(f, cycle_graph(6, label=[1, 0, 0, 1, 0, 0]), 2).ok
+    lifted = [dk for rule, dk in seen if rule is not f]
+    assert len(lifted) == 12  # 6 vertices for 2 steps, the plain run's disks excluded
+    assert all(isinstance(lbl, SimLabel) for dk in lifted for lbl in dk.graph.lab)
+
+
+def test_a_hole_of_the_hosted_rule_is_a_hole_of_the_universal_rule():
+    p = RuleParams(1, (0,), radius=0, bound=1)
+    desc = encode_rule(LocalRule(p))  # a hole on every disk
+    x = label_with(canonicalize(PortGraph(1, ["v"], [], {"v": 0}), "v"), desc)
+    univ = universal_rule(p, (desc,))
+    with pytest.raises(PartialRuleHole) as info:
+        univ.image(disk(x, 0))
+    assert info.value.disk == disk(x, 0)  # the stamped disk the universal rule was asked
 
 
 def test_simulation_flags_the_first_bad_step():
