@@ -25,12 +25,10 @@ from functools import lru_cache
 from itertools import chain
 
 from .graph import (
-    EPSILON,
     CayleyGraph,
     Disk,
     GraphError,
     PortGraph,
-    canonicalize,
     from_port_array,
 )
 from .library import RULE_REGISTRY
@@ -144,7 +142,7 @@ def parse_tokens(text: str, alphabet) -> tuple:
     return tuple(chain.from_iterable(map(meaning.__getitem__, pieces)))
 
 
-_HEADER_RE = re.compile(r"^ports=(\d+)\s+labels=([\d,]+)\s*$")
+_HEADER_RE = re.compile(r"^ports=(\d+)\s+labels=(\d+(?:,\d+)*)\s*$")
 
 
 def write_code(code: GraphCode) -> str:
@@ -167,17 +165,16 @@ def read_code(text: str) -> GraphCode:
 
 # --- graph <-> code ----------------------------------------------------------
 
-def encode_graph(x: PortGraph, pointer=EPSILON, alphabet=None) -> GraphCode:
-    """Depth-first record of a pointed connected port graph.
+def encode_graph(x: CayleyGraph, alphabet=None) -> GraphCode:
+    """Depth-first record of a canonical graph, read off its port array.
 
-    The record is read off the canonical form's port array: a graph at
-    any other pointer, or a plain ``PortGraph``, is canonicalized first.
     Ports are scanned in ascending order, so equal pointed graphs
     produce equal codes; the decoder is a full inverse, so the code is
-    faithful.
+    faithful.  Any other graph raises GraphError: canonicalize it first.
     """
-    if not (isinstance(x, CayleyGraph) and pointer == EPSILON):
-        x = canonicalize(x, pointer)
+    if not isinstance(x, CayleyGraph):
+        raise GraphError(f"encode_graph takes a CayleyGraph, not a {type(x).__name__}: "
+                         f"canonicalize it first")
     d, nbr, lab = x.degree, x.nbr, x.lab
     if alphabet is None:
         alphabet = tuple(range(max(lab, default=0) + 1))
@@ -697,7 +694,7 @@ def decode_rule(desc: RuleDescription) -> LocalRule:
 
 
 _RULE_HEADER_RE = re.compile(
-    r"^ports=(\d+)\s+labels=([\d,]+)\s+radius=(\d+)\s+bound=(\d+)"
+    r"^ports=(\d+)\s+labels=(\d+(?:,\d+)*)\s+radius=(\d+)\s+bound=(\d+)"
     r"(?:\s+suffixes=(\d+))?\s*$")
 
 

@@ -23,9 +23,11 @@ extends its least word.  So a ``CayleyGraph`` keeps integers only:
 * ``lab``, the label of each id.
 
 Equality and hashing read only these.  One search, ``from_port_array``,
-fills them for ``canonicalize``, ``disk_around`` and the decoder of
-``cgd.codec``; the enumerator there emits them in search order directly,
-and ``CayleyGraph.relabel`` reuses a port array under new labels.
+fills them for ``canonicalize``, ``disk_around``, the decoder of
+``cgd.codec`` and the word constructor ``CayleyGraph(degree, vertices,
+edges, labels)``; the enumerator there emits them in search order
+directly, and ``CayleyGraph.relabel`` reuses a port array under new
+labels.
 
 Which views are derived.  ``words`` (the least word of each id),
 ``vertices``, ``edges``, ``labels``, ``label()`` and ``port_map()`` give
@@ -35,6 +37,16 @@ are still built where names are the interface: the rule pipeline (disk
 centres, the renaming ``walk``, rule images and the glue), rendering,
 and any caller of those views.  The codec, equality and hashing never
 build them.
+
+What a ``PortGraph`` stores: its vertices, their labels and its port
+map, the one record of its wiring.  ``edges`` is a view of the port
+map, built on first use; ``CayleyGraph`` inherits it.
+
+Equality does not cross classes.  A ``PortGraph`` equals only a
+``PortGraph`` with the same vertices, labels and port map; a
+``CayleyGraph`` equals only a ``CayleyGraph`` with the same port array
+and labels.  So a ``PortGraph`` never equals the ``CayleyGraph`` with
+the same words.
 
 ``PortGraph`` treats vertex names as opaque hashables.  Three kinds
 occur:
@@ -90,130 +102,95 @@ def name_key(name):
     return (2, repr(name))
 
 
-def _checked(degree, vertices, edges, labels):
-    """Vertices, edges, labels and port map of a graph given by names, or GraphError."""
-    vertices = frozenset(vertices)
-    edges = frozenset(map(frozenset, edges))
-    labels = dict(labels)
-    if labels.keys() != vertices:
-        missing = vertices - labels.keys()
-        extra = labels.keys() - vertices
-        raise GraphError(f"labels must cover vertices exactly "
-                         f"(missing {len(missing)}, extra {len(extra)})")
-    pm = {}
-    for e in edges:
-        if len(e) != 2:
-            raise GraphError(f"edge must join two distinct port slots: {sorted(e, key=repr)}")
-        for (v, p) in e:
-            if v not in vertices:
-                raise GraphError(f"edge endpoint {v!r} is not a vertex")
-            if not (1 <= p <= degree):
-                raise GraphError(f"port {p} out of range 1..{degree}")
-            if (v, p) in pm:
-                raise PortConflict(f"port {p} of {v!r} used by two edges")
-        a, b = e
-        pm[a] = b
-        pm[b] = a
-    return vertices, edges, labels, pm
-
-
-def _least_word_form(d, vertices, pm, labels):
-    """(port array, labels, words) of a graph whose names are its least
-    words from the empty word, in least-word order; None for any other."""
-    if EPSILON not in vertices:
-        return None
-    ids = {EPSILON: 0}
-    order = [EPSILON]
-    nbr = []
-    for v in order:
-        for a in range(1, d + 1):
-            hit = pm.get((v, a))
-            if hit is None:
-                nbr.append(-1)
-                continue
-            y, b = hit
-            u = ids.get(y)
-            if u is None:
-                if y != v + ((a, b),):
-                    return None
-                u = ids[y] = len(order)
-                order.append(y)
-            nbr.append(u * d + b - 1)
-    if len(order) != len(vertices):
-        return None
-    return tuple(nbr), tuple(labels[v] for v in order), tuple(order)
-
-
 class PortGraph:
     """Immutable bounded-degree port graph with labelled vertices."""
 
-    __slots__ = ("degree", "vertices", "edges", "_labels", "_hash", "_ports")
+    __slots__ = ("degree", "vertices", "_labels", "_ports", "_edges", "_hash")
 
     def __init__(self, degree, vertices, edges, labels):
-        """Check and store a graph.  Every graph is built through here,
-        a CayleyGraph from its port array as well."""
+        """Check and store a graph given by names.  An edge given twice,
+        either way round, is one edge."""
         if degree < 1:
             raise GraphError("degree must be at least 1")
-        self.degree = int(degree)
-        self._hash = None
-        self._store(vertices, edges, labels)
-
-    def _store(self, vertices, edges, labels):
-        self.vertices, self.edges, self._labels, self._ports = _checked(
-            self.degree, vertices, edges, labels)
-
-    def label(self, v):
-        return self._labels[v]
+        self.degree = degree = int(degree)
+        self.vertices = vertices = frozenset(vertices)
+        self._labels = labels = dict(labels)
+        self._edges = self._hash = None
+        if labels.keys() != vertices:
+            missing = vertices - labels.keys()
+            extra = labels.keys() - vertices
+            raise GraphError(f"labels must cover vertices exactly "
+                             f"(missing {len(missing)}, extra {len(extra)})")
+        pm = self._ports = {}
+        for e in edges:
+            ends = tuple(e)
+            if len(ends) != 2 or ends[0] == ends[1]:
+                raise GraphError(f"edge must join two distinct port slots: {ends!r}")
+            a, b = ends
+            if pm.get(a) == b:
+                continue  # the same edge again
+            for (v, p) in ends:
+                if v not in vertices:
+                    raise GraphError(f"edge endpoint {v!r} is not a vertex")
+                if not (1 <= p <= degree):
+                    raise GraphError(f"port {p} out of range 1..{degree}")
+                if (v, p) in pm:
+                    raise PortConflict(f"port {p} of {v!r} used by two edges")
+            pm[a] = b
+            pm[b] = a
 
     @property
-    def labels(self):
+    def labels(self) -> dict:
         return self._labels
 
-    def port_map(self):
+    def label(self, v):
+        return self.labels[v]
+
+    def port_map(self) -> dict:
         """dict (vertex, port) -> (other vertex, other port), both directions."""
         return self._ports
 
+    @property
+    def edges(self) -> frozenset:
+        """Each edge of the port map once, as a frozenset of its two slots."""
+        if self._edges is None:
+            self._edges = frozenset(map(frozenset, self.port_map().items()))
+        return self._edges
+
     def __eq__(self, other):
-        if not isinstance(other, PortGraph):
+        if type(other) is not PortGraph:
             return NotImplemented
-        return (self.degree == other.degree and self.vertices == other.vertices
-                and self.edges == other.edges and self.labels == other.labels)
+        return (self.degree == other.degree and self._labels == other._labels
+                and self._ports == other._ports)
 
     def __hash__(self):
-        """Equal graphs hash equal: a graph named by its least words from
-        the empty word hashes as the CayleyGraph it equals."""
         if self._hash is None:
-            form = _least_word_form(self.degree, self.vertices, self._ports, self._labels)
-            self._hash = hash((self.degree, self.vertices, self.edges,
-                               frozenset(self._labels.items())) if form is None
-                              else (self.degree, form[0], form[1]))
+            self._hash = hash((self.degree, frozenset(self._labels.items()),
+                               frozenset(self._ports.items())))
         return self._hash
 
     def counts(self) -> tuple:
         """(|V|, |E|)."""
-        return len(self.vertices), len(self.edges)
+        return len(self.vertices), len(self.port_map()) // 2
 
     def __repr__(self):
         return "<{} degree={} |V|={} |E|={}>".format(type(self).__name__, self.degree,
                                                      *self.counts())
 
 
-_PORT_ARRAY = object()  # stands for the vertices when a CayleyGraph is built from its port array
-
-
 class _WordViews:
     """The word views of one port array, each built on first use.
 
     Names never depend on labels, so every labelling of the array
-    shares one of these.  A port map shares its slot tuples with the
-    edges, as a ``PortGraph``'s does.
+    shares one of these.  The port map holds one slot tuple per slot,
+    shared by its keys and values.
     """
 
-    __slots__ = ("degree", "nbr", "_words", "_ids", "_vertices", "_edges", "_ports")
+    __slots__ = ("degree", "nbr", "_words", "_ids", "_vertices", "_ports")
 
-    def __init__(self, degree, nbr, words=None, vertices=None, edges=None, ports=None):
-        self.degree, self.nbr, self._ids = degree, nbr, None
-        self._words, self._vertices, self._edges, self._ports = words, vertices, edges, ports
+    def __init__(self, degree, nbr):
+        self.degree, self.nbr = degree, nbr
+        self._words = self._ids = self._vertices = self._ports = None
 
     @property
     def words(self) -> tuple:
@@ -241,21 +218,10 @@ class _WordViews:
         return self._vertices
 
     @property
-    def edges(self) -> frozenset:
-        if self._edges is None:
-            w, d = self.words, self.degree
-            self._edges = frozenset(
-                frozenset(((w[s // d], s % d + 1), (w[t // d], t % d + 1)))
-                for s, t in enumerate(self.nbr) if s < t)
-        return self._edges
-
-    @property
     def ports(self) -> dict:
         if self._ports is None:
-            pm = self._ports = {}
-            for a, b in map(tuple, self.edges):
-                pm[a] = b
-                pm[b] = a
+            slot = [(w, a) for w in self.words for a in range(1, self.degree + 1)]
+            self._ports = {slot[s]: slot[t] for s, t in enumerate(self.nbr) if t >= 0}
         return self._ports
 
 
@@ -264,31 +230,29 @@ class CayleyGraph(PortGraph):
 
     ``nbr`` and ``lab`` are the breadth-first form the module docstring
     describes; equality and hashing read only them.  The word views are
-    built on first use.  ``CayleyGraph(degree, vertices, edges, labels)``
-    takes a graph named by words and raises GraphError unless every
-    name is the vertex's least word from the empty word.
+    built on first use.
     """
 
     __slots__ = ("nbr", "lab", "_views")
 
+    def __init__(self, degree, vertices, edges, labels):
+        """The graph given by words; GraphError unless every name is the
+        vertex's least word from the empty word."""
+        g = PortGraph(degree, vertices, edges, labels)
+        x = _search(g, EPSILON) if EPSILON in g.vertices else None
+        if x is None or (x.vertices, x.port_map(), x.labels) != (
+                g.vertices, g.port_map(), g.labels):
+            raise GraphError("vertex names are not their least words from the empty word")
+        self.degree, self.nbr, self.lab, self._views = x.degree, x.nbr, x.lab, x._views
+        self._labels = self._edges = self._hash = None
+
     @classmethod
     def _of(cls, degree, nbr, lab) -> CayleyGraph:
         """The graph of a port array and label tuple already in least-word order."""
-        return cls(degree, _PORT_ARRAY, nbr, lab)
-
-    def _store(self, vertices, edges, labels):
-        self._labels = None
-        if vertices is _PORT_ARRAY:
-            self.nbr, self.lab = edges, labels
-            self._views = _WordViews(self.degree, edges)
-            return
-        vertices, edges, labels, pm = _checked(self.degree, vertices, edges, labels)
-        form = _least_word_form(self.degree, vertices, pm, labels)
-        if form is None:
-            raise GraphError("vertex names are not their least words from the empty word")
-        self.nbr, self.lab, words = form
-        self._views = _WordViews(self.degree, self.nbr, words, vertices, edges, pm)
-        self._labels = labels
+        x = object.__new__(cls)
+        x.degree, x.nbr, x.lab, x._views = degree, nbr, lab, _WordViews(degree, nbr)
+        x._labels = x._edges = x._hash = None
+        return x
 
     @property
     def pointer(self) -> Word:
@@ -304,17 +268,10 @@ class CayleyGraph(PortGraph):
         return self._views.vertices
 
     @property
-    def edges(self) -> frozenset:
-        return self._views.edges
-
-    @property
     def labels(self) -> dict:
         if self._labels is None:
             self._labels = dict(zip(self.words, self.lab))
         return self._labels
-
-    def label(self, v):
-        return self.labels[v]
 
     def port_map(self) -> dict:
         return self._views.ports
@@ -333,9 +290,9 @@ class CayleyGraph(PortGraph):
         return g
 
     def __eq__(self, other):
-        if isinstance(other, CayleyGraph):
-            return self.degree == other.degree and self.nbr == other.nbr and self.lab == other.lab
-        return PortGraph.__eq__(self, other)
+        if type(other) is not CayleyGraph:
+            return NotImplemented
+        return self.degree == other.degree and self.nbr == other.nbr and self.lab == other.lab
 
     def __hash__(self):
         if self._hash is None:
@@ -588,13 +545,12 @@ def _clash(graphs, cls):
                 return f"label clash on shared vertex: {label_of[c]!r} vs {lab!r}"
     port_use = {}
     for g in graphs:
-        for (u, i), (v, j) in g.edges:
+        for (u, i), (v, j) in g.port_map().items():  # each edge both ways round
             cu, cv = cls[u], cls[v]
             if cu == cv and i == j:
                 return f"edge collapses onto a single port slot ({i})"
-            for slot, tgt in (((cu, i), (cv, j)), ((cv, j), (cu, i))):
-                if port_use.setdefault(slot, tgt) != tgt:
-                    return f"port {slot[1]} double-booked on a shared vertex"
+            if port_use.setdefault((cu, i), (cv, j)) != (cv, j):
+                return f"port {i} double-booked on a shared vertex"
     return None
 
 
@@ -639,6 +595,6 @@ def glue_all(parts) -> PortGraph:
         members.setdefault(c, []).append(v)
     name = {c: frozenset().union(*vs) for c, vs in members.items()}
     labels = {name[cls[v]]: lab for g in parts for v, lab in g.labels.items()}
-    edges = {frozenset(((name[cls[u]], i), (name[cls[v]], j)))
-             for g in parts for (u, i), (v, j) in g.edges}
-    return PortGraph(degree, name.values(), edges, labels)
+    ports = {(name[cls[u]], i): (name[cls[v]], j)
+             for g in parts for (u, i), (v, j) in g.port_map().items()}
+    return PortGraph(degree, name.values(), ports.items(), labels)

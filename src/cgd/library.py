@@ -21,8 +21,8 @@ def identity_rule(port_count=2, labels=(0, 1)) -> LocalRule:
     def fn(d: Disk) -> PortGraph:
         g = d.graph
         name = {v: frozenset({(v, 0)}) for v in g.vertices}
-        keep = [tuple(e) for e in g.edges if any(v == EPSILON for v, _ in e)]
-        edges = [((name[u], i), (name[v], j)) for (u, i), (v, j) in keep]
+        edges = [((name[u], i), (name[v], j))
+                 for (u, i), (v, j) in g.port_map().items() if u == EPSILON]
         return PortGraph(g.degree, name.values(), edges,
                          {name[v]: g.label(v) for v in g.vertices})
 
@@ -50,8 +50,7 @@ def xor_label_rule(port_count=2) -> LocalRule:
 
         near = around(EPSILON)
         name = {v: frozenset({(v, 0)}) for v in near}
-        keep = [tuple(e) for e in g.edges if any(v == EPSILON for v, _ in e)]
-        edges = [((name[u], i), (name[v], j)) for (u, i), (v, j) in keep]
+        edges = [((name[u], i), (name[v], j)) for (u, i), (v, j) in pm.items() if u == EPSILON]
         return PortGraph(g.degree, name.values(), edges,
                          {name[v]: parity(v) for v in near})
 
@@ -83,11 +82,9 @@ def inflating_grid_rule() -> LocalRule:
             ((core[NW], S), (core[SW], N)),
             ((core[NE], S), (core[SE], N)),
         ]
-        for e in g.edges:
-            slots = sorted(e, key=lambda s: (s[0] != EPSILON, s[1]))
-            if slots[0][0] != EPSILON:
-                continue  # an edge between two neighbours; their own blocks wire it
-            (_, a), (p, b) = slots
+        for (c, a), (p, b) in g.port_map().items():
+            if c != EPSILON:
+                continue  # met again from the centre's side, or wired by the neighbours' blocks
             for qa, qb in zip(_SIDE[a], _SIDE[b]):
                 other = frozenset({(p, qb)})
                 vertices.add(other)

@@ -118,7 +118,7 @@ def universal_rule(params: RuleParams, descriptions) -> LocalRule:
         img = image_fns[desc](Disk(unstamped(dk.graph), dk.radius))
         if img is None:
             return None
-        return PortGraph(img.degree, img.vertices, img.edges,
+        return PortGraph(img.degree, img.vertices, img.port_map().items(),
                          {v: SimLabel(img.label(v), desc) for v in img.vertices})
 
     return LocalRule(uparams, fn=fn)
@@ -201,8 +201,7 @@ class _PortTable:
         return cls(g.degree, dict(g.labels), dict(g.port_map()))
 
     def graph(self) -> PortGraph:
-        edges = {frozenset(slots) for slots in self.ports.items()}
-        return PortGraph(self.degree, self.labels, edges, self.labels)
+        return PortGraph(self.degree, self.labels, self.ports.items(), self.labels)
 
     def _put(self, d, key, value):
         self.log.append((d is self.ports, key, d.get(key, _ABSENT)))
@@ -431,7 +430,10 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             tok = token_at(head)
             if not (isinstance(tok, tuple) and tok[0] == "lbl"):
                 raise MalformedWorld(f"expected a label, found {tok!r}")
-            stamp = SimLabel(tok[1], labels[ports[M, 2][0]][1])
+            desc = labels[ports[M, 2][0]][1]
+            if tok[1] not in desc.params.labels:
+                raise MalformedWorld(f"label {tok[1]!r} outside the alphabet")
+            stamp = SimLabel(tok[1], desc)
             a3 = ports.get((M, 3))
             if a3 is not None and labels[a3[0]] != PLACEHOLDER:
                 raise MalformedWorld("word tries to relabel a finished vertex")
@@ -592,9 +594,10 @@ def finished_graph(world: MachineWorld) -> CayleyGraph:
         if not isinstance(g.label(v), SimLabel):
             raise MalformedWorld(f"foreign vertex {v!r} left in the world")
     d = world.port_count
-    if any(p > d for e in g.edges for _, p in e):
+    pm = g.port_map()
+    if any(p > d for _, p in pm):
         raise MalformedWorld("a hook port is still in use")
-    return canonicalize(PortGraph(d, g.vertices, g.edges, g.labels), world.root)
+    return canonicalize(PortGraph(d, g.vertices, pm.items(), g.labels), world.root)
 
 
 def run_machine(world: MachineWorld, budget=1_000_000) -> CayleyGraph:

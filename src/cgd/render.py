@@ -20,12 +20,12 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(x: PortGraph, pointer=EPSILON, name: str = "g") -> str:
+def to_dot(x: PortGraph) -> str:
     order = sorted(x.vertices, key=name_key)
     ident = {v: f"n{i}" for i, v in enumerate(order)}
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph g {", "  node [shape=circle];"]
     for v in order:
-        shape = ' shape=doublecircle' if v == pointer else ""
+        shape = ' shape=doublecircle' if v == EPSILON else ""
         lines.append(f"  {ident[v]} [label={_quote(label_text(x.label(v)))}{shape}];")
     drawn = []
     for e in x.edges:

@@ -179,7 +179,7 @@ def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
                      {names[v]: img.label(v) for v in img.vertices})
 
 
-def step_glued(f: LocalRule, x: CayleyGraph):
+def _step_glued(f: LocalRule, x: CayleyGraph):
     """All rewritten images glued together, before renaming; and the new pointer."""
     parts = [_normalized_image(f, x, u) for u in x.words]
     glued = glue_all(parts)
@@ -195,7 +195,7 @@ def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
     """
     if x.degree != f.params.port_count:
         raise RuleError(f"rule wants {f.params.port_count} ports, graph has {x.degree}")
-    glued, pointer = step_glued(f, x)
+    glued, pointer = _step_glued(f, x)
     return canonicalize(glued, pointer)
 
 

@@ -11,17 +11,23 @@ import pytest
 
 @pytest.fixture
 def graphs_built(monkeypatch):
-    """A list that grows by one per PortGraph construction, CayleyGraph ones included."""
-    from cgd.graph import PortGraph
+    """A list that grows by one per graph construction: a PortGraph built
+    from names, or a CayleyGraph built from its port array."""
+    from cgd.graph import CayleyGraph, PortGraph
 
     calls = []
-    init = PortGraph.__init__
+    init, of = PortGraph.__init__, CayleyGraph._of.__func__
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         calls.append(1)
         init(self, *args)
 
-    monkeypatch.setattr(PortGraph, "__init__", counted)
+    def counted_of(cls, *args):
+        calls.append(1)
+        return of(cls, *args)
+
+    monkeypatch.setattr(PortGraph, "__init__", counted_init)
+    monkeypatch.setattr(CayleyGraph, "_of", classmethod(counted_of))
     return calls
 
 

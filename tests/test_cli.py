@@ -60,6 +60,18 @@ def test_decode_round_trips_a_code_file(tmp_path, capsys):
     assert out.splitlines() == [FIG4, "|V|=4 |E|=5"]
 
 
+@pytest.mark.parametrize("labels", ["0,,1", ",", "0,"])
+def test_an_empty_label_in_a_header_is_a_one_line_error(tmp_path, capsys, labels):
+    graph = tmp_path / "g.graph"
+    graph.write_text(f"ports=2 labels={labels}\n$0;\n")
+    code, _, err = run_cli("decode", str(graph), capsys=capsys)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    rule = tmp_path / "r.rule"
+    rule.write_text(f"ports=2 labels={labels} radius=1 bound=1\nregistry=identity\n")
+    code, _, err = run_cli("run", "--rule", str(rule), "--graph", "cycle-6", capsys=capsys)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_identity_emits_identical_codes(capsys):
     code, out, _ = run_cli("run", "--rule", "identity", "--graph", "fig4",
                            "--steps", "3", "--format", "code", capsys=capsys)

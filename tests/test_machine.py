@@ -8,6 +8,7 @@ from conftest import assert_step_local
 from cgd.cli import FIXTURES
 from cgd.codec import (
     GraphCode,
+    ParseError,
     RuleDescription,
     decode_graph,
     encode_graph,
@@ -475,4 +476,12 @@ def test_malformed_tapes_are_refused(text):
 def test_oversized_ports_on_the_tape_are_refused():
     code = GraphCode(2, (0, 1), parse_tokens("$0;(1,3)$0;", (0, 1)))
     with pytest.raises(MalformedWorld):
+        run_machine(build_machine_world(code, IDD2))
+
+
+def test_a_label_outside_the_alphabet_is_refused_like_the_decoder_does():
+    code = GraphCode(2, (0, 1), ("$", ("lbl", 7), ";"))
+    with pytest.raises(ParseError, match="label 7 outside the alphabet"):
+        decode_graph(code)
+    with pytest.raises(MalformedWorld, match="label 7 outside the alphabet"):
         run_machine(build_machine_world(code, IDD2))

@@ -27,8 +27,8 @@ from cgd.rules import (
     continuity_modulus,
     iterate,
     orbit,
-    step_glued,
     validate_local_rule,
+    _step_glued,
 )
 
 
@@ -150,7 +150,7 @@ def test_application_commutes_with_repointing():
         (identity_rule(2, (0, 1)), random_graph(5, degree=2, size=9)),
     ]
     for rule, x in cases:
-        glued, _ = step_glued(rule, x)
+        glued, _ = _step_glued(rule, x)
         for v in sorted(x.vertices, key=name_key):
             target = next(c for c in glued.vertices if (v, 0) in c)
             assert apply_rule(rule, shift(x, v)) == canonicalize(glued, target)
