@@ -22,21 +22,26 @@ extends its least word.  So a ``CayleyGraph`` keeps integers only:
   port a of v is joined to port b of u, and -1 when port a is free;
 * ``lab``, the label of each id.
 
-Equality and hashing read only these.  One search, ``from_port_array``,
-fills them for ``canonicalize``, ``disk_around``, the decoder of
-``cgd.codec`` and the word constructor ``CayleyGraph(degree, vertices,
-edges, labels)``; the enumerator there emits them in search order
+Equality and hashing read only these.  One search, ``ball``, fills
+them: through ``from_port_array`` for ``canonicalize``, ``disk_around``,
+the decoder of ``cgd.codec`` and the word constructor
+``CayleyGraph(degree, vertices, edges, labels)``, and directly for the
+rule step of ``cgd.rules``, which searches the disk around every vertex
+id.  The enumerator of ``cgd.codec`` emits port arrays in search order
 directly, and ``CayleyGraph.relabel`` reuses a port array under new
 labels.
 
 Which views are derived.  ``words`` (the least word of each id),
 ``vertices``, ``edges``, ``labels``, ``label()`` and ``port_map()`` give
 the same graph named by words; each is built on first use and cached.
-In them ``len(name)`` is the vertex's distance from the pointer.  Words
-are still built where names are the interface: the rule pipeline (disk
-centres, the renaming ``walk``, rule images and the glue), rendering,
-and any caller of those views.  The codec, equality and hashing never
-build them.
+In them ``len(name)`` is the vertex's distance from the pointer.  The
+rule step builds no word of its input: it keys images by the disk's
+port array, places image elements at ints and glues them with
+``glue_all``, which takes int elements.  Words are still built where
+names are the interface: a rule function reading its disk, rule images,
+the validator (its renaming ``walk`` and ``consistent``), rendering, and
+any caller of those views.  The codec, equality and hashing never build
+them.
 
 What a ``PortGraph`` stores: its vertices, their labels and its port
 map, the one record of its wiring.  ``edges`` is a view of the port
@@ -58,9 +63,10 @@ occur:
   suffixes 1..s address fresh successors;
 * anything else hashable (typically a string) for scratch graphs.
 
-Only two places look inside name sets.  ``rules.check_image`` keeps the
-name sets of one image disjoint, and the glue (``consistent`` and
-``glue_all``) merges vertices whose name sets share an element.
+Three places look inside name sets.  ``rules.check_image`` keeps the
+name sets of one image disjoint, the rule step turns each element of a
+checked image into a (disk id, suffix) pair once per image, and
+``consistent`` compares images whose name sets share an element.
 """
 from __future__ import annotations
 
@@ -316,14 +322,16 @@ class Disk:
             raise GraphError("graph reaches beyond the stated radius")
 
 
-def from_port_array(degree, nbr, labels, start=0, radius=None) -> CayleyGraph:
-    """The canonical graph of the vertices within ``radius`` of ``start``.
+def ball(degree, nbr, labels, start=0, radius=None):
+    """One breadth-first search over a port array: the ball around ``start``.
 
     ``nbr`` is a port array over any ids (see the module docstring) and
-    ``labels`` gives each id's label.  One breadth-first search from
-    ``start`` scans ports in ascending order, so the ids it hands out
-    follow least-word order.  Edges leaving the radius are dropped;
-    with ``radius`` None the search keeps every vertex it reaches.
+    ``labels`` gives each id's label.  The search scans ports in
+    ascending order, so the ids it hands out follow least-word order.
+    Edges leaving the radius are dropped; with ``radius`` None the
+    search keeps every vertex it reaches.  Returns the ball's own port
+    array, its label tuple and its visit order: ``order[i]`` is the id
+    in ``nbr`` of the ball's vertex i.
     """
     d = degree
     new = {start: 0}
@@ -346,7 +354,14 @@ def from_port_array(degree, nbr, labels, start=0, radius=None) -> CayleyGraph:
                 u = new[s // d] = len(order)
                 order.append(s // d)
             ports.append(u * d + s % d)
-    return CayleyGraph._of(d, tuple(ports), tuple(map(labels.__getitem__, order)))
+    return tuple(ports), tuple(map(labels.__getitem__, order)), order
+
+
+def from_port_array(degree, nbr, labels, start=0, radius=None) -> CayleyGraph:
+    """The canonical graph of the vertices within ``radius`` of ``start``:
+    the ball of ``ball``, stored as it comes out of the search."""
+    ports, lab, _ = ball(degree, nbr, labels, start, radius)
+    return CayleyGraph._of(degree, ports, lab)
 
 
 def _search(g: PortGraph, center, radius=None) -> CayleyGraph:
@@ -572,29 +587,59 @@ def consistent(g: PortGraph, h: PortGraph) -> Consistency:
     return Consistency(witness is None, nonempty, witness)
 
 
-def glue_all(parts) -> PortGraph:
-    """Merge consistent graphs, gluing vertices whose name sets intersect.
+def glue_all(degree, elems, labels, ends, joins=()):
+    """Glue vertices that share an int element into one port array.
 
-    Order does not matter.  A merged vertex carries the union of its name
-    sets; this is what makes per-vertex rule images reassemble into one
-    graph.  Distinct classes hold disjoint elements, so the result's name
-    sets are disjoint again.
+    Vertex k holds the int element ``elems[k]``, and e too for each pair
+    (k, e) in ``joins``; its label is ``labels[k]``.  ``ends`` holds each
+    edge once as two slots, flattened: slot ``k*degree + a-1`` is port a
+    of vertex k.  One union-find over the elements makes the classes,
+    numbered in order of their first vertex, so vertex 0 is in class 0.
+    A class must carry one label, and each of its ports at most one
+    edge; an edge may not join a port slot to itself.  Order does not
+    matter up to the numbering of the classes.  Returns the glued port
+    array over class ids, its labels, and each vertex's class id.
+
+    Rule application glues rule images this way, each image element
+    placed at an int (see ``cgd.rules.apply_rule``).
     """
-    parts = list(parts)
-    if not parts:
+    if not elems:
         raise GraphError("nothing to glue")
-    degree = parts[0].degree
-    if any(p.degree != degree for p in parts):
-        raise InconsistentUnion("port counts differ")
-    cls = _classes(parts)
-    witness = _clash(parts, cls)
-    if witness is not None:
-        raise InconsistentUnion(witness)
-    members = {}
-    for v, c in cls.items():
-        members.setdefault(c, []).append(v)
-    name = {c: frozenset().union(*vs) for c, vs in members.items()}
-    labels = {name[cls[v]]: lab for g in parts for v, lab in g.labels.items()}
-    ports = {(name[cls[u]], i): (name[cls[v]], j)
-             for g in parts for (u, i), (v, j) in g.port_map().items()}
-    return PortGraph(degree, name.values(), ports.items(), labels)
+    parent = {}  # element -> another element of its class; roots are absent
+
+    def find(e):
+        root = e
+        while root in parent:
+            root = parent[root]
+        while e != root:
+            parent[e], e = root, parent[e]
+        return root
+
+    for k, e in joins:
+        a, b = find(elems[k]), find(e)
+        if a != b:
+            parent[b] = a
+    ids = {}
+    cls = [ids.setdefault(e, len(ids)) for e in (map(find, elems) if parent else elems)]
+    lab = []
+    for c, label in zip(cls, labels):
+        if c == len(lab):  # the class's first vertex
+            lab.append(label)
+        elif lab[c] != label:
+            raise InconsistentUnion(f"label clash on shared vertex: {lab[c]!r} vs {label!r}")
+    d = degree
+    nbr = [-1] * (len(lab) * d)
+    slot = iter(ends)
+    for s, t in zip(slot, slot):
+        s, t = cls[s // d] * d + s % d, cls[t // d] * d + t % d
+        if s == t:
+            raise InconsistentUnion(f"edge collapses onto a single port slot ({s % d + 1})")
+        if nbr[s] != t:
+            if nbr[s] >= 0:
+                raise InconsistentUnion(f"port {s % d + 1} double-booked on a shared vertex")
+            nbr[s] = t
+        if nbr[t] != s:
+            if nbr[t] >= 0:
+                raise InconsistentUnion(f"port {t % d + 1} double-booked on a shared vertex")
+            nbr[t] = s
+    return tuple(nbr), tuple(lab), cls

@@ -5,8 +5,8 @@ whose vertices carry name sets built from the disk's vertex names: an
 element (w, 0) claims "this image vertex is the continuation of disk
 vertex w", an element (w, z) with z >= 1 claims "the z-th fresh vertex
 budded off w".  Applying a rule to a whole graph takes the image of
-every vertex's disk, rewrites each image name through the vertex's
-position, and glues everything; shared claims merge, and the
+every vertex's disk, places each image element at the vertex it names
+in the whole graph, and glues everything; shared claims merge, and the
 consistency conditions below guarantee they merge cleanly.
 """
 from __future__ import annotations
@@ -18,12 +18,14 @@ from .graph import (
     EPSILON,
     EPS_ELEM,
     CayleyGraph,
+    DisconnectedInput,
     Disk,
     PortGraph,
-    canonicalize,
+    ball,
     consistent,
     disk,
     disk_around,
+    from_port_array,
     glue_all,
     walk,
 )
@@ -115,19 +117,24 @@ def check_image(p: RuleParams, d: Disk, img: PortGraph):
 class LocalRule:
     """A (possibly partial) map from radius-r disks to images.
 
-    Backed by an explicit table, a function, or both; function results
-    are validated once and memoized in the table.  ``registry_key``
-    names rules that cannot be tabulated within any reasonable budget
-    so they can still be described and decoded.
+    Backed by an explicit table, a function, or both.  ``table`` holds
+    the entries the rule's author supplied, keyed by ``Disk``.  Every
+    image handed out is checked once and kept in one memo keyed by the
+    disk's port array and labels, which holds no disk: an entry is the
+    image and, once a step has placed it, its template (see
+    ``apply_rule``).  ``registry_key`` names rules that cannot be
+    tabulated within any reasonable budget so they can still be
+    described and decoded.
     """
 
-    __slots__ = ("params", "table", "fn", "registry_key")
+    __slots__ = ("params", "table", "fn", "registry_key", "_memo")
 
     def __init__(self, params: RuleParams, table=None, fn=None, registry_key=None):
         self.params = params
         self.table = dict(table) if table else {}
         self.fn = fn
         self.registry_key = registry_key
+        self._memo = {}  # (nbr, lab) of a disk -> (image, template or None)
         for d, img in self.table.items():
             check_image(self.params, d, img)
 
@@ -139,19 +146,23 @@ class LocalRule:
         p = self.params
         if d.radius != p.radius:
             raise WrongRadius(f"rule wants radius {p.radius}, got {d.radius}")
-        if d.graph.degree != p.port_count:
-            raise RuleError(f"rule wants {p.port_count} ports, got {d.graph.degree}")
-        for lbl in d.graph.lab:
+        g = d.graph
+        if g.degree != p.port_count:
+            raise RuleError(f"rule wants {p.port_count} ports, got {g.degree}")
+        for lbl in g.lab:
             if lbl not in p.labels:
                 raise RuleError(f"disk label {lbl!r} outside the rule alphabet")
+        entry = self._memo.get((g.nbr, g.lab))
+        if entry is not None:
+            return entry[0]
         img = self.table.get(d)
         if img is None and self.fn is not None:
             img = self.fn(d)
             if img is not None:
                 check_image(p, d, img)
-                self.table[d] = img
         if img is None:
             raise PartialRuleHole(None, d)
+        self._memo[g.nbr, g.lab] = (img, None)
         return img
 
     def __repr__(self):
@@ -164,7 +175,8 @@ def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
 
     Disk vertex names are walks from u, so each element (p, z) becomes
     (walk(x, p, from u), z); distinct disk vertices land on distinct
-    graph vertices, hence the rewrite never collides.
+    graph vertices, hence the rewrite never collides.  The validator
+    compares images in this form.
     """
     d = disk_around(x, u, f.params.radius)
     try:
@@ -179,24 +191,74 @@ def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
                      {names[v]: img.label(v) for v in img.vertices})
 
 
-def _step_glued(f: LocalRule, x: CayleyGraph):
-    """All rewritten images glued together, before renaming; and the new pointer."""
-    parts = [_normalized_image(f, x, u) for u in x.words]
-    glued = glue_all(parts)
-    pointer = next(v for v in glued.vertices if EPS_ELEM in v)
-    return glued, pointer
+def _template(img: PortGraph, dk: Disk) -> tuple:
+    """An image over disk ids: what a step needs to place it anywhere.
+
+    Each image element becomes a pair (disk id, suffix).  The image
+    vertices are ordered by their sorted pairs, so the vertex claiming
+    the disk centre, (0, 0), comes first.  Returns each vertex's least
+    pair, each further pair as (vertex, disk id, suffix), the vertices'
+    labels, and each edge once as two slots ``k*d + a-1``.
+    """
+    d = img.degree
+    at = {w: i for i, w in enumerate(dk.graph.words)}
+    pairs = {v: sorted((at[w], z) for w, z in v) for v in img.vertices}
+    vs = sorted(img.vertices, key=pairs.__getitem__)
+    k = {v: i for i, v in enumerate(vs)}
+    ends = []
+    for (u, a), (v, b) in img.port_map().items():
+        s, t = k[u] * d + a - 1, k[v] * d + b - 1
+        if s < t:
+            ends += (s, t)
+    return (tuple(pairs[v][0] for v in vs),
+            tuple((k[v], i, z) for v in vs for i, z in pairs[v][1:]),
+            tuple(map(img.labels.__getitem__, vs)), tuple(ends))
 
 
 def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
     """One synchronous step: glue the images of every vertex's disk.
 
-    The output is pointed at the image of the input pointer, which
-    exists because every image claims its disk center.
+    The step runs on vertex ids.  One search around each id gives the
+    disk's port array, labels and visit order; the rule's memo, keyed
+    by the first two, gives the image's template.  Only a miss builds
+    the ``Disk`` and asks ``LocalRule.image``.  The template's element
+    (disk id i, suffix z) is placed at the int ``order[i] * (s+1) + z``,
+    s being the rule's suffix count, and ``glue_all`` merges the placed
+    images.  The output is pointed at the image of the input pointer,
+    which exists because every image claims its disk center: that is
+    element 0, in the first vertex glued.
     """
-    if x.degree != f.params.port_count:
-        raise RuleError(f"rule wants {f.params.port_count} ports, graph has {x.degree}")
-    glued, pointer = _step_glued(f, x)
-    return canonicalize(glued, pointer)
+    p = f.params
+    d = x.degree
+    if d != p.port_count:
+        raise RuleError(f"rule wants {p.port_count} ports, graph has {d}")
+    r, m = p.radius, p.suffix_count + 1
+    nbr, xlab, memo = x.nbr, x.lab, f._memo
+    elems, joins, labels, ends = [], [], [], []
+    for u in range(len(xlab)):
+        ports, lab, order = ball(d, nbr, xlab, u, r)
+        entry = memo.get((ports, lab))
+        if entry is None or entry[1] is None:
+            dk = Disk(CayleyGraph._of(d, ports, lab), r)
+            try:
+                img = f.image(dk)
+            except PartialRuleHole as hole:
+                hole.vertex = x.words[u]
+                raise
+            entry = memo[ports, lab] = (img, _template(img, dk))
+        heads, more, image_labels, image_ends = entry[1]
+        base = len(elems)
+        elems += [order[i] * m + z for i, z in heads]
+        if more:
+            joins += [(base + k, order[i] * m + z) for k, i, z in more]
+        labels += image_labels
+        ends += [base * d + s for s in image_ends]
+    glued, glued_labels, _ = glue_all(d, elems, labels, ends, joins)
+    y = from_port_array(d, glued, glued_labels)
+    if len(y.lab) != len(glued_labels):
+        raise DisconnectedInput(f"{len(glued_labels) - len(y.lab)} vertices unreachable "
+                                f"from pointer")
+    return y
 
 
 def iterate(f: LocalRule, x: CayleyGraph, steps: int) -> CayleyGraph:

@@ -36,6 +36,16 @@ tokens.  Their results are built with the word constructor of
 decoder and enumerator above call this ``canonicalize``, the one they
 were written against.
 
+``_normalized_image``, ``_step_glued`` and ``apply_rule`` are the rule
+step of ``cgd.rules`` as it stood at commit eeb7362: every vertex's disk
+is extracted, its image renamed into the input's words with one
+``walk`` per disk vertex, and the renamed images, whose vertices are
+name sets of words, are glued and canonicalized.  Here they call the
+frozen ``disk_around``, ``glue_all`` and ``canonicalize`` of this file
+and the library's ``walk`` and ``LocalRule.image``.  The library's step
+runs on vertex ids and glues ints; both must give equal graphs, or
+raise the same exception class with the same text.
+
 Do not edit these copies to follow the library.
 """
 from collections import deque
@@ -50,6 +60,7 @@ from cgd.codec import (
     is_pair,
 )
 from cgd.graph import (
+    EPS_ELEM,
     EPSILON,
     CayleyGraph,
     Consistency,
@@ -58,8 +69,10 @@ from cgd.graph import (
     GraphError,
     InconsistentUnion,
     PortGraph,
+    walk,
 )
 from cgd.machine import PLACEHOLDER, MalformedWorld, SimLabel
+from cgd.rules import LocalRule, PartialRuleHole, RuleError
 
 
 def decode_graph(code: GraphCode) -> CayleyGraph:
@@ -720,3 +733,43 @@ def encode_graph(x: PortGraph, pointer=EPSILON, alphabet=None) -> GraphCode:
     if len(index) != len(x.vertices):
         raise GraphError("graph is not connected from the pointer")
     return GraphCode(d, tuple(alphabet), tuple(tokens))
+
+
+def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
+    """Image of u's disk with names rewritten into x's coordinates.
+
+    Disk vertex names are walks from u, so each element (p, z) becomes
+    (walk(x, p, from u), z); distinct disk vertices land on distinct
+    graph vertices, hence the rewrite never collides.
+    """
+    d = disk_around(x, u, f.params.radius)
+    try:
+        img = f.image(d)
+    except PartialRuleHole as hole:
+        hole.vertex = u
+        raise
+    at = {p: walk(x, p, start=u) for p in d.graph.vertices}
+    names = {v: frozenset((at[p], z) for (p, z) in v) for v in img.vertices}
+    edges = [((names[a], i), (names[b], j)) for (a, i), (b, j) in map(tuple, img.edges)]
+    return PortGraph(img.degree, names.values(), edges,
+                     {names[v]: img.label(v) for v in img.vertices})
+
+
+def _step_glued(f: LocalRule, x: CayleyGraph):
+    """All rewritten images glued together, before renaming; and the new pointer."""
+    parts = [_normalized_image(f, x, u) for u in x.words]
+    glued = glue_all(parts)
+    pointer = next(v for v in glued.vertices if EPS_ELEM in v)
+    return glued, pointer
+
+
+def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
+    """One synchronous step: glue the images of every vertex's disk.
+
+    The output is pointed at the image of the input pointer, which
+    exists because every image claims its disk center.
+    """
+    if x.degree != f.params.port_count:
+        raise RuleError(f"rule wants {f.params.port_count} ports, graph has {x.degree}")
+    glued, pointer = _step_glued(f, x)
+    return canonicalize(glued, pointer)

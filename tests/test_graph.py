@@ -42,6 +42,7 @@ from cgd.graph import (
     disk_around,
     distance,
     eccentricity,
+    from_port_array,
     glue_all,
     name_key,
     shift,
@@ -355,6 +356,51 @@ def _g(degree, spec, labels):
     return PortGraph(degree, list(labels), spec, labels)
 
 
+def _int_form(parts):
+    """Name-set parts as ``glue_all``'s input.
+
+    Elements are numbered in order of first sight.  Vertices and edges
+    are taken in the order the frozen glue reads them, so that both
+    meet the same clash first.
+    """
+    number, elems, joins, labels, ends = {}, [], [], [], []
+    for g in parts:
+        d = g.degree
+        k = {}
+        for v in g.vertices:
+            k[v] = len(elems)
+            first, *rest = (number.setdefault(e, len(number)) for e in v)
+            elems.append(first)
+            joins += [(k[v], e) for e in rest]
+            labels.append(g.label(v))
+        for e in g.edges:
+            (u, a), (v, b) = tuple(e)
+            ends += (k[u] * d + a - 1, k[v] * d + b - 1)
+    return number, elems, joins, labels, ends
+
+
+def _glue_names(parts):
+    """``glue_all`` on the int form of name-set parts, read back as a graph
+    whose vertices are the union of their classes' name sets."""
+    d = parts[0].degree
+    number, elems, joins, labels, ends = _int_form(parts)
+    nbr, lab, cls = glue_all(d, elems, labels, ends, joins)
+    elem = {i: e for e, i in number.items()}
+    members = [set() for _ in lab]
+    for k, e in [*enumerate(elems), *joins]:
+        members[cls[k]].add(elem[e])
+    name = [frozenset(m) for m in members]
+    edges = [((name[s // d], s % d + 1), (name[t // d], t % d + 1))
+             for s, t in enumerate(nbr) if t >= 0]
+    return PortGraph(d, name, edges, dict(zip(name, lab)))
+
+
+def _witness(glue, parts):
+    with pytest.raises(InconsistentUnion) as info:
+        glue(parts)
+    return str(info.value)
+
+
 def test_consistent_overlap_and_union():
     u0 = _ns(((), 0))
     u1 = _ns((((1, 1),), 0))
@@ -363,11 +409,12 @@ def test_consistent_overlap_and_union():
     h = _g(2, [], {u1b: 1})
     verdict = consistent(g, h)
     assert verdict.ok and verdict.nonempty
-    merged = glue_all([g, h])
+    merged = _glue_names([g, h])
     big = u1 | u1b
     assert merged.vertices == {u0, big}
     assert merged.label(big) == 1
     assert frozenset({(u0, 1), (big, 1)}) in merged.edges
+    assert merged == oracle_glue_all([g, h])
 
 
 def test_consistent_reports_empty_overlap():
@@ -382,8 +429,8 @@ def test_union_rejects_label_clash():
     g = _g(2, [], {shared: 0})
     h = _g(2, [], {shared: 1})
     assert not consistent(g, h).ok
-    with pytest.raises(InconsistentUnion):
-        glue_all([g, h])
+    assert (_witness(_glue_names, [g, h]) == _witness(oracle_glue_all, [g, h])
+            == "label clash on shared vertex: 0 vs 1")
 
 
 def test_union_rejects_port_double_booking():
@@ -391,15 +438,24 @@ def test_union_rejects_port_double_booking():
     g = _g(2, [((a, 1), (b, 1))], {a: 0, b: 0})
     h = _g(2, [((a, 1), (c, 1))], {a: 0, c: 0})
     assert not consistent(g, h).ok
-    with pytest.raises(InconsistentUnion):
-        glue_all([g, h])
+    assert (_witness(_glue_names, [g, h]) == _witness(oracle_glue_all, [g, h])
+            == "port 1 double-booked on a shared vertex")
+
+
+def test_union_rejects_an_edge_collapsing_onto_one_slot():
+    a, b = _ns(((), 0)), _ns((((1, 1),), 0))
+    g = _g(2, [((a, 1), (b, 1))], {a: 0, b: 0})
+    h = _g(2, [], {a | b: 0})  # a and b are one vertex, so the edge joins port 1 to itself
+    assert not consistent(g, h).ok
+    assert (_witness(_glue_names, [g, h]) == _witness(oracle_glue_all, [g, h])
+            == "edge collapses onto a single port slot (1)")
 
 
 def test_union_accepts_shared_edge():
     a, b = _ns(((), 0)), _ns((((1, 1),), 0))
     g = _g(2, [((a, 1), (b, 1))], {a: 0, b: 0})
     h = _g(2, [((a, 1), (b, 1))], {a: 0, b: 0})
-    assert glue_all([g, h]) == g
+    assert _glue_names([g, h]) == g
 
 
 def test_glue_all_transitive_conflict():
@@ -411,9 +467,9 @@ def test_glue_all_transitive_conflict():
     p1 = _g(2, [], {a: 0})
     p2 = _g(2, [], {b: 0})
     p3 = _g(2, [((c, 1), (d, 1))], {c: 0, d: 0})
-    with pytest.raises(InconsistentUnion):
-        # a and b chain c and d into one vertex; its port 1 then loops onto itself
-        glue_all([p1, p2, p3])
+    # a and b chain c and d into one vertex; its port 1 then loops onto itself
+    assert (_witness(_glue_names, [p1, p2, p3]) == _witness(oracle_glue_all, [p1, p2, p3])
+            == "edge collapses onto a single port slot (1)")
 
 
 def test_glue_refuses_plain_names():
@@ -422,19 +478,31 @@ def test_glue_refuses_plain_names():
     h = PortGraph(1, ["bc"], [], {"bc": 1})
     with pytest.raises(GraphError, match="'ab'"):
         consistent(g, h)
-    with pytest.raises(GraphError, match="'ab'"):
-        glue_all([g])
 
 
 def test_glue_all_order_independent():
     elems = [_ns((((i, i),), 0), (((i + 1, i + 1),), 0)) for i in range(1, 4)]
     parts = [_g(4, [], {e: 0}) for e in elems]
-    ref = glue_all(parts)
+    ref = _glue_names(parts)
     for seed in range(6):
         shuffled = parts[:]
         random.Random(seed).shuffle(shuffled)
-        assert glue_all(shuffled) == ref
+        assert _glue_names(shuffled) == ref
     assert len(ref.vertices) == 1
+
+
+def test_glue_numbers_classes_in_order_of_their_first_vertex():
+    # vertex 1 holds 8 and 7, vertex 3 holds 7; edge 0:1-1:2 and a self-loop on 2
+    nbr, lab, cls = glue_all(2, [5, 8, 9, 7], ["p", "q", "r", "q"], [0, 3, 4, 5],
+                             joins=[(1, 7)])
+    assert cls == [0, 1, 2, 1]
+    assert lab == ("p", "q", "r")
+    assert nbr == (3, -1, -1, 0, 5, 4)
+    assert from_port_array(2, nbr, lab).lab == ("p", "q")  # r is not joined to them
+    with pytest.raises(GraphError, match="nothing"):
+        glue_all(2, [], [], [])
+    with pytest.raises(InconsistentUnion, match="label clash on shared vertex: 'q' vs 's'"):
+        glue_all(2, [5, 8, 7], ["p", "q", "s"], [], joins=[(1, 7)])
 
 
 # --- the glue against its frozen predecessor ---------------------------------
@@ -475,14 +543,16 @@ def _mutant_part(g, parts, rng):
 
 
 def _glued(glue, parts):
+    """The glued graph, or the witness of the clash."""
     try:
         return glue(parts)
-    except InconsistentUnion:
-        return InconsistentUnion
+    except InconsistentUnion as clash:
+        return str(clash)
 
 
 def test_glue_agrees_with_the_frozen_oracle():
-    """Rule images, whole and with one part changed or dropped, glue alike."""
+    """Rule images, whole and with one part changed or dropped, glue alike,
+    or clash with the same witness."""
     cases = [
         (identity_rule(2, (0, 1)), dict(degree=2, alphabet=(0, 1))),
         (identity_rule(3, (0, 1)), dict(degree=3, alphabet=(0, 1))),
@@ -510,9 +580,9 @@ def test_glue_agrees_with_the_frozen_oracle():
                     changed = parts[:k] + [part] + parts[k + 1:]
                     inputs.append((changed, [(k, m) for m in near[k]]))
             for ps, pairs in inputs:
-                got = _glued(glue_all, ps)
+                got = _glued(_glue_names, ps)
                 assert got == _glued(oracle_glue_all, ps)
-                glued.append(got is InconsistentUnion)
+                glued.append(isinstance(got, str))
                 for k, m in pairs:
                     new, old = consistent(ps[k], ps[m]), oracle_consistent(ps[k], ps[m])
                     assert (new.ok, new.nonempty) == (old.ok, old.nonempty)
