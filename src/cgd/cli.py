@@ -69,12 +69,22 @@ def load_rule(source: str, *, degree=None, labels=None):
     """A rule plus its description; library names size themselves to the graph.
 
     Library rules come without a description (None); a rule file's is
-    the one it was decoded from, at the size its own entries give.
+    the one it was decoded from, at the size its own entries give.  A
+    library rule that cannot take the given port count or a given label
+    is refused.
     """
     build = RULE_REGISTRY.get(source)
     if build is not None:
-        return build(2 if degree is None else degree,
-                     (0, 1) if labels is None else labels), None
+        f = build(2 if degree is None else degree, (0, 1) if labels is None else labels)
+        p = f.params
+        if degree is not None and degree != p.port_count:
+            raise CliError(f"rule {source!r} works on {p.port_count}-port graphs, "
+                           f"not {degree}")
+        for lbl in labels or ():
+            if lbl not in p.labels:
+                raise CliError(f"label {lbl!r} is outside the alphabet {p.labels!r} "
+                               f"of rule {source!r}")
+        return f, None
     path = Path(source)
     if not path.exists():
         raise CliError(f"{source!r} is neither a library rule "

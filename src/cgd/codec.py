@@ -37,7 +37,7 @@ from .rules import (
     PartialRuleHole,
     RuleError,
     RuleParams,
-    check_image,
+    image_template,
 )
 
 
@@ -476,41 +476,34 @@ def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
     """Position of an image in the fixed ordering of its key disk's image space.
 
     Images with fewer vertices come first; then the partition of the
-    elements into vertices, the labels, and the port matching.
+    elements into vertices, the labels, and the port matching, all read
+    off the checked template (``rules.image_template``): element (disk
+    id i, suffix z) is number ``i * (suffix_count + 1) + z``.
     """
-    check_image(params, key, img)
+    heads, more, labels, ends = image_template(params, key, img)
     elems, counts = _image_space(params, key)
-    elem_index = {e: i for i, e in enumerate(elems)}
-    # vertices ordered by their least element; the first claims the center
-    blocks = sorted((sorted(elem_index[e] for e in v), v) for v in img.vertices)
-    k = len(blocks)
+    per_id = params.suffix_count + 1
+    block_of = {i * per_id + z: bi for bi, (i, z) in enumerate(heads)}
+    block_of.update((i * per_id + z, bi) for bi, i, z in more)
+    k = len(heads)
     m_elems = len(elems)
     table = _partition_counts(m_elems, k)
-    block_of = {i: bi for bi, (idxs, _) in enumerate(blocks) for i in idxs}
     p_rank = 0
     opened = 1
     for pos in range(1, m_elems):
         follow = table[pos + 1][opened]
         bi = block_of.get(pos)
-        if bi is None:
-            pass
-        elif bi < opened:
+        if bi is not None:  # join block bi, or open it when bi == opened
             p_rank += (1 + bi) * follow
-        else:
-            p_rank += (1 + opened) * follow
-            opened += 1
+            if bi == opened:
+                opened += 1
     m = len(params.labels)
     l_rank = 0
-    for _, v in blocks:
-        l_rank = l_rank * m + params.labels.index(img.label(v))
+    for lbl in labels:
+        l_rank = l_rank * m + params.labels.index(lbl)
+    mate = dict(zip(ends[::2], ends[1::2]))
+    mate.update(zip(ends[1::2], ends[::2]))
     d = params.port_count
-    first_slot = {v: bi * d - 1 for bi, (_, v) in enumerate(blocks)}
-    mate = {}
-    for e in img.edges:
-        (u, i), (w, j) = tuple(e)
-        a, b = first_slot[u] + i, first_slot[w] + j
-        mate[a] = b
-        mate[b] = a
     n_slots = k * d
     m_rank = 0
     free = list(range(n_slots))
@@ -598,7 +591,7 @@ class RuleDescription:
     can sit inside labels of big graphs cheaply.
     """
 
-    __slots__ = ("params", "entries", "registry_key", "catalog_hash", "_digest")
+    __slots__ = ("params", "entries", "registry_key", "catalog_hash", "_digest", "_hash")
 
     def __init__(self, params: RuleParams, entries=None, registry_key=None,
                  catalog_hash=None):
@@ -608,26 +601,24 @@ class RuleDescription:
         self.entries = tuple(entries) if entries is not None else None
         self.registry_key = registry_key
         self.catalog_hash = catalog_hash
-        self._digest = None
+        body = "|".join([
+            str(params.port_count), repr(params.labels), str(params.radius),
+            str(params.bound), str(params.suffix_count), str(catalog_hash),
+            repr(self.entries) if self.entries is not None else f"key:{registry_key}",
+        ])
+        self._digest = hashlib.sha256(body.encode()).hexdigest()
+        self._hash = int(self._digest[:16], 16)
 
     def digest(self) -> str:
-        if self._digest is None:
-            body = "|".join([
-                str(self.params.port_count), repr(self.params.labels),
-                str(self.params.radius), str(self.params.bound),
-                str(self.params.suffix_count), str(self.catalog_hash),
-                repr(self.entries) if self.entries is not None else f"key:{self.registry_key}",
-            ])
-            self._digest = hashlib.sha256(body.encode()).hexdigest()
         return self._digest
 
     def __eq__(self, other):
         if not isinstance(other, RuleDescription):
             return NotImplemented
-        return self.digest() == other.digest()
+        return self._digest == other._digest
 
     def __hash__(self):
-        return int(self.digest()[:16], 16)
+        return self._hash
 
     def __repr__(self):
         kind = f"key={self.registry_key}" if self.registry_key else f"{len(self.entries)} entries"
@@ -651,9 +642,10 @@ def encode_rule(f: LocalRule, budget=10_000) -> RuleDescription:
     entries = []
     for key in disks:
         try:
-            entries.append(rank_image(p, key, f.image(key)))
+            img = f.fn(key)
         except PartialRuleHole:
-            entries.append(None)
+            img = None
+        entries.append(None if img is None else rank_image(p, key, img))
     return RuleDescription(p, entries=entries, catalog_hash=digest)
 
 

@@ -63,10 +63,11 @@ occur:
   suffixes 1..s address fresh successors;
 * anything else hashable (typically a string) for scratch graphs.
 
-Three places look inside name sets.  ``rules.check_image`` keeps the
-name sets of one image disjoint, the rule step turns each element of a
-checked image into a (disk id, suffix) pair once per image, and
-``consistent`` compares images whose name sets share an element.
+Two places look inside name sets.  ``rules.image_template`` checks an
+image, keeping its name sets disjoint, and in the same pass turns each
+element into a (disk id, suffix) pair, which the rule step places and
+``codec.rank_image`` numbers; ``consistent`` compares images whose name
+sets share an element.
 """
 from __future__ import annotations
 

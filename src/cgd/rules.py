@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .graph import (
     EPSILON,
-    EPS_ELEM,
     CayleyGraph,
     DisconnectedInput,
     Disk,
@@ -88,55 +87,76 @@ class RuleParams:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def check_image(p: RuleParams, d: Disk, img: PortGraph):
-    """Raise the RuleError that says why ``img`` is no image of ``d`` under ``p``."""
+def image_template(p: RuleParams, d: Disk, img: PortGraph) -> tuple:
+    """Check that ``img`` is an image of ``d`` under ``p`` and return its template.
+
+    A wrong image raises the RuleError that says why.  The template is
+    the image over disk ids, what a step needs to place it anywhere:
+    each element (w, z) becomes the pair (disk id of w, z), and the
+    vertices are ordered by their sorted pairs, so the vertex claiming
+    the disk centre, (0, 0), comes first.  It holds each vertex's least
+    pair, each further pair as (vertex, disk id, suffix), the vertices'
+    labels, and each edge once as two slots ``k*d + a-1``.
+    """
     if img.degree != p.port_count:
         raise RuleError("image degree differs from the rule's port count")
     if len(img.vertices) > p.bound:
         raise ImageTooLarge(f"{len(img.vertices)} vertices exceed the bound {p.bound}")
-    source_names = d.graph.vertices
+    at = {w: i for i, w in enumerate(d.graph.words)}
     seen = set()
+    blocks = []  # per image vertex: its sorted pairs, its label and itself
     for v in img.vertices:
         if not isinstance(v, frozenset) or not v:
             raise InvalidImageName(f"image vertex {v!r} is not a nonempty name set")
+        pairs = []
         for elem in v:
             if (not isinstance(elem, tuple) or len(elem) != 2
-                    or elem[0] not in source_names
+                    or elem[0] not in at
                     or not isinstance(elem[1], int)
                     or not 0 <= elem[1] <= p.suffix_count):
                 raise InvalidImageName(f"element {elem!r} not addressable from this disk")
-            if elem in seen:
+            pair = (at[elem[0]], elem[1])
+            if pair in seen:
                 raise InvalidImageName(f"element {elem!r} appears in two image vertices")
-            seen.add(elem)
-        if img.label(v) not in p.labels:
-            raise RuleError(f"image label {img.label(v)!r} outside the rule alphabet")
-    if EPS_ELEM not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+        label = img.label(v)
+        if label not in p.labels:
+            raise RuleError(f"image label {label!r} outside the rule alphabet")
+        blocks.append((sorted(pairs), label, v))
+    if (0, 0) not in seen:
         raise MissingEpsilon("no image vertex claims the disk center")
+    blocks.sort()  # the pairs of two vertices are disjoint, so they decide
+    k = {v: i for i, (_, _, v) in enumerate(blocks)}
+    deg = img.degree
+    ends = []
+    for (u, a), (v, b) in img.port_map().items():
+        s, t = k[u] * deg + a - 1, k[v] * deg + b - 1
+        if s < t:
+            ends += (s, t)
+    return (tuple(pairs[0] for pairs, _, _ in blocks),
+            tuple((i, j, z) for i, (pairs, _, _) in enumerate(blocks) for j, z in pairs[1:]),
+            tuple(label for _, label, _ in blocks), tuple(ends))
 
 
 class LocalRule:
     """A (possibly partial) map from radius-r disks to images.
 
-    Backed by an explicit table, a function, or both.  ``table`` holds
-    the entries the rule's author supplied, keyed by ``Disk``.  Every
-    image handed out is checked once and kept in one memo keyed by the
-    disk's port array and labels, which holds no disk: an entry is the
-    image and, once a step has placed it, its template (see
-    ``apply_rule``).  ``registry_key`` names rules that cannot be
-    tabulated within any reasonable budget so they can still be
-    described and decoded.
+    ``fn`` gives a disk's image, or None for a hole.  Every image it
+    hands out is checked once and kept, with its template (see
+    ``image_template``), in one memo keyed by the disk's port array and
+    labels, which holds no disk.  ``registry_key`` names rules that
+    cannot be tabulated within any reasonable budget so they can still
+    be described and decoded.
     """
 
-    __slots__ = ("params", "table", "fn", "registry_key", "_memo")
+    __slots__ = ("params", "fn", "registry_key", "_memo")
 
-    def __init__(self, params: RuleParams, table=None, fn=None, registry_key=None):
+    def __init__(self, params: RuleParams, fn, registry_key=None):
         self.params = params
-        self.table = dict(table) if table else {}
         self.fn = fn
         self.registry_key = registry_key
-        self._memo = {}  # (nbr, lab) of a disk -> (image, template or None)
-        for d, img in self.table.items():
-            check_image(self.params, d, img)
+        self._memo = {}  # (nbr, lab) of a disk -> (image, template)
 
     @property
     def radius(self) -> int:
@@ -153,21 +173,16 @@ class LocalRule:
             if lbl not in p.labels:
                 raise RuleError(f"disk label {lbl!r} outside the rule alphabet")
         entry = self._memo.get((g.nbr, g.lab))
-        if entry is not None:
-            return entry[0]
-        img = self.table.get(d)
-        if img is None and self.fn is not None:
+        if entry is None:
             img = self.fn(d)
-            if img is not None:
-                check_image(p, d, img)
-        if img is None:
-            raise PartialRuleHole(None, d)
-        self._memo[g.nbr, g.lab] = (img, None)
-        return img
+            if img is None:
+                raise PartialRuleHole(None, d)
+            entry = self._memo[g.nbr, g.lab] = (img, image_template(p, d, img))
+        return entry[0]
 
     def __repr__(self):
-        kind = self.registry_key or ("table" if self.fn is None and self.table else "fn")
-        return f"<LocalRule {kind} r={self.params.radius} b={self.params.bound}>"
+        return (f"<LocalRule {self.registry_key or 'fn'} r={self.params.radius} "
+                f"b={self.params.bound}>")
 
 
 def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
@@ -191,42 +206,19 @@ def _normalized_image(f: LocalRule, x: CayleyGraph, u) -> PortGraph:
                      {names[v]: img.label(v) for v in img.vertices})
 
 
-def _template(img: PortGraph, dk: Disk) -> tuple:
-    """An image over disk ids: what a step needs to place it anywhere.
-
-    Each image element becomes a pair (disk id, suffix).  The image
-    vertices are ordered by their sorted pairs, so the vertex claiming
-    the disk centre, (0, 0), comes first.  Returns each vertex's least
-    pair, each further pair as (vertex, disk id, suffix), the vertices'
-    labels, and each edge once as two slots ``k*d + a-1``.
-    """
-    d = img.degree
-    at = {w: i for i, w in enumerate(dk.graph.words)}
-    pairs = {v: sorted((at[w], z) for w, z in v) for v in img.vertices}
-    vs = sorted(img.vertices, key=pairs.__getitem__)
-    k = {v: i for i, v in enumerate(vs)}
-    ends = []
-    for (u, a), (v, b) in img.port_map().items():
-        s, t = k[u] * d + a - 1, k[v] * d + b - 1
-        if s < t:
-            ends += (s, t)
-    return (tuple(pairs[v][0] for v in vs),
-            tuple((k[v], i, z) for v in vs for i, z in pairs[v][1:]),
-            tuple(map(img.labels.__getitem__, vs)), tuple(ends))
-
-
 def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
     """One synchronous step: glue the images of every vertex's disk.
 
     The step runs on vertex ids.  One search around each id gives the
     disk's port array, labels and visit order; the rule's memo, keyed
     by the first two, gives the image's template.  Only a miss builds
-    the ``Disk`` and asks ``LocalRule.image``.  The template's element
-    (disk id i, suffix z) is placed at the int ``order[i] * (s+1) + z``,
-    s being the rule's suffix count, and ``glue_all`` merges the placed
-    images.  The output is pointed at the image of the input pointer,
-    which exists because every image claims its disk center: that is
-    element 0, in the first vertex glued.
+    the ``Disk`` and asks ``LocalRule.image``, which fills the entry.
+    The template's element (disk id i, suffix z) is placed at the int
+    ``order[i] * (s+1) + z``, s being the rule's suffix count, and
+    ``glue_all`` merges the placed images.  The output is pointed at
+    the image of the input pointer, which exists because every image
+    claims its disk center: that is element 0, in the first vertex
+    glued.
     """
     p = f.params
     d = x.degree
@@ -238,14 +230,13 @@ def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
     for u in range(len(xlab)):
         ports, lab, order = ball(d, nbr, xlab, u, r)
         entry = memo.get((ports, lab))
-        if entry is None or entry[1] is None:
-            dk = Disk(CayleyGraph._of(d, ports, lab), r)
+        if entry is None:
             try:
-                img = f.image(dk)
+                f.image(Disk(CayleyGraph._of(d, ports, lab), r))
             except PartialRuleHole as hole:
                 hole.vertex = x.words[u]
                 raise
-            entry = memo[ports, lab] = (img, _template(img, dk))
+            entry = memo[ports, lab]
         heads, more, image_labels, image_ends = entry[1]
         base = len(elems)
         elems += [order[i] * m + z for i, z in heads]
@@ -374,13 +365,13 @@ def continuity_modulus(f: LocalRule, r: int) -> int:
     return r + f.params.radius + 1
 
 
-def check_continuity(f: LocalRule, r: int, pairs, step=apply_rule) -> list:
+def check_continuity(f: LocalRule, r: int, pairs) -> list:
     """Return the pairs violating the modulus; empty means it held."""
     m = continuity_modulus(f, r)
     bad = []
     for x, y in pairs:
         if disk(x, m) != disk(y, m):
             continue
-        if disk(step(f, x), r) != disk(step(f, y), r):
+        if disk(apply_rule(f, x), r) != disk(apply_rule(f, y), r):
             bad.append((x, y))
     return bad

@@ -46,6 +46,13 @@ and the library's ``walk`` and ``LocalRule.image``.  The library's step
 runs on vertex ids and glues ints; both must give equal graphs, or
 raise the same exception class with the same text.
 
+``check_image`` and ``_template`` are the image check and the image
+template of ``cgd.rules`` as they stood at commit c99db12: one walk over
+an image's name sets checks them, a second numbers their elements by
+disk id.  The library checks an image and builds its template in one
+walk, ``image_template``; both must give the same template, or raise
+the same exception class with the same text.
+
 Do not edit these copies to follow the library.
 """
 from collections import deque
@@ -72,7 +79,15 @@ from cgd.graph import (
     walk,
 )
 from cgd.machine import PLACEHOLDER, MalformedWorld, SimLabel
-from cgd.rules import LocalRule, PartialRuleHole, RuleError
+from cgd.rules import (
+    ImageTooLarge,
+    InvalidImageName,
+    LocalRule,
+    MissingEpsilon,
+    PartialRuleHole,
+    RuleError,
+    RuleParams,
+)
 
 
 def decode_graph(code: GraphCode) -> CayleyGraph:
@@ -773,3 +788,53 @@ def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
         raise RuleError(f"rule wants {f.params.port_count} ports, graph has {x.degree}")
     glued, pointer = _step_glued(f, x)
     return canonicalize(glued, pointer)
+
+
+def check_image(p: RuleParams, d: Disk, img: PortGraph):
+    """Raise the RuleError that says why ``img`` is no image of ``d`` under ``p``."""
+    if img.degree != p.port_count:
+        raise RuleError("image degree differs from the rule's port count")
+    if len(img.vertices) > p.bound:
+        raise ImageTooLarge(f"{len(img.vertices)} vertices exceed the bound {p.bound}")
+    source_names = d.graph.vertices
+    seen = set()
+    for v in img.vertices:
+        if not isinstance(v, frozenset) or not v:
+            raise InvalidImageName(f"image vertex {v!r} is not a nonempty name set")
+        for elem in v:
+            if (not isinstance(elem, tuple) or len(elem) != 2
+                    or elem[0] not in source_names
+                    or not isinstance(elem[1], int)
+                    or not 0 <= elem[1] <= p.suffix_count):
+                raise InvalidImageName(f"element {elem!r} not addressable from this disk")
+            if elem in seen:
+                raise InvalidImageName(f"element {elem!r} appears in two image vertices")
+            seen.add(elem)
+        if img.label(v) not in p.labels:
+            raise RuleError(f"image label {img.label(v)!r} outside the rule alphabet")
+    if EPS_ELEM not in seen:
+        raise MissingEpsilon("no image vertex claims the disk center")
+
+
+def _template(img: PortGraph, dk: Disk) -> tuple:
+    """An image over disk ids: what a step needs to place it anywhere.
+
+    Each image element becomes a pair (disk id, suffix).  The image
+    vertices are ordered by their sorted pairs, so the vertex claiming
+    the disk centre, (0, 0), comes first.  Returns each vertex's least
+    pair, each further pair as (vertex, disk id, suffix), the vertices'
+    labels, and each edge once as two slots ``k*d + a-1``.
+    """
+    d = img.degree
+    at = {w: i for i, w in enumerate(dk.graph.words)}
+    pairs = {v: sorted((at[w], z) for w, z in v) for v in img.vertices}
+    vs = sorted(img.vertices, key=pairs.__getitem__)
+    k = {v: i for i, v in enumerate(vs)}
+    ends = []
+    for (u, a), (v, b) in img.port_map().items():
+        s, t = k[u] * d + a - 1, k[v] * d + b - 1
+        if s < t:
+            ends += (s, t)
+    return (tuple(pairs[v][0] for v in vs),
+            tuple((k[v], i, z) for v in vs for i, z in pairs[v][1:]),
+            tuple(map(img.labels.__getitem__, vs)), tuple(ends))

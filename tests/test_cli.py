@@ -273,6 +273,20 @@ def test_a_library_rule_takes_the_port_count_it_is_given():
         load_rule("identity", degree=0)
 
 
+def test_a_library_rule_refuses_a_port_count_it_cannot_take(capsys):
+    code, out, err = run_cli("validate-rule", "--rule", "inflating-grid", "--ports", "2",
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: rule 'inflating-grid' works on 4-port graphs, not 2\n"
+
+
+def test_a_library_rule_refuses_a_label_outside_its_alphabet(capsys):
+    code, out, err = run_cli("validate-rule", "--rule", "xor", "--labels", "0,1,2",
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: label 2 is outside the alphabet (0, 1) of rule 'xor'\n"
+
+
 # every flag each subcommand's cmd_* function reads, and no other
 FLAGS = {
     "encode": set(),

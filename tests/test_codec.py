@@ -467,9 +467,9 @@ def test_decode_guards():
 def test_holes_survive_the_description():
     p = RuleParams(1, (0,), radius=0, bound=1)
     keys = enumerate_disks(1, (0,), 0)
-    filled = LocalRule(p, table={keys[0]: unrank_image(p, keys[0], 0)})
+    filled = LocalRule(p, fn=lambda d: unrank_image(p, d, 0) if d == keys[0] else None)
     assert encode_rule(filled).entries.count(None) == 0
-    empty = LocalRule(p)  # no table, no fn: a hole everywhere
+    empty = LocalRule(p, fn=lambda d: None)  # a hole everywhere
     desc = encode_rule(empty)
     assert set(desc.entries) == {None}
     back = decode_rule(desc)

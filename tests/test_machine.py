@@ -152,7 +152,7 @@ def test_the_universal_rule_looks_up_stamped_disks_only(monkeypatch):
 
 def test_a_hole_of_the_hosted_rule_is_a_hole_of_the_universal_rule():
     p = RuleParams(1, (0,), radius=0, bound=1)
-    desc = encode_rule(LocalRule(p))  # a hole on every disk
+    desc = encode_rule(LocalRule(p, fn=lambda d: None))  # a hole on every disk
     x = label_with(canonicalize(PortGraph(1, ["v"], [], {"v": 0}), "v"), desc)
     univ = universal_rule(p, (desc,))
     with pytest.raises(PartialRuleHole) as info:

@@ -1,5 +1,7 @@
+from dataclasses import replace
+
+import oracle
 import pytest
-from oracle import _step_glued as oracle_step_glued
 
 from cgd.codec import BudgetExceeded, rank_image
 from cgd.corpus import cycle_graph, divergent_pair, grid_graph, random_graph, sample_graph
@@ -9,10 +11,11 @@ from cgd.graph import (
     PortGraph,
     canonicalize,
     disk,
+    disk_around,
     name_key,
     shift,
 )
-from cgd.library import identity_rule, xor_label_rule
+from cgd.library import identity_rule, inflating_grid_rule, xor_label_rule
 from cgd.rules import (
     ImageTooLarge,
     InvalidImageName,
@@ -26,6 +29,7 @@ from cgd.rules import (
     apply_rule,
     check_continuity,
     continuity_modulus,
+    image_template,
     iterate,
     orbit,
     validate_local_rule,
@@ -59,29 +63,29 @@ def test_image_checks_radius_degree_and_alphabet():
         rule.image(disk(cycle_graph(4, label=7), 1))  # label outside (0, 1)
 
 
-def test_bad_images_are_rejected_at_table_construction():
-    p = RuleParams(2, (0,), radius=0, bound=1)
-    key = disk(canonicalize(PortGraph(2, ["a"], [], {"a": 0}), "a"), 0)
-    eps = _ns((EPSILON, 0))
-    other = _ns((EPSILON, 1))
-    foreign = _ns((((9, 9),), 0))
-    overflow = _ns((EPSILON, 5))
+# hand-made images no rule may hand out, all for one radius-0 disk, each
+# with the error that says why
+BAD_PARAMS = RuleParams(2, (0,), radius=0, bound=1)
+BAD_KEY = disk(canonicalize(PortGraph(2, ["a"], [], {"a": 0}), "a"), 0)
+_EPS, _OTHER = _ns((EPSILON, 0)), _ns((EPSILON, 1))
+_FOREIGN, _OVERFLOW = _ns((((9, 9),), 0)), _ns((EPSILON, 5))
+BAD_IMAGES = [
+    (MissingEpsilon, PortGraph(2, [_OTHER], [], {_OTHER: 0})),
+    (ImageTooLarge, PortGraph(2, [_EPS, _OTHER], [], {_EPS: 0, _OTHER: 0})),
+    (InvalidImageName, PortGraph(2, [_FOREIGN], [], {_FOREIGN: 0})),  # word not in the disk
+    (InvalidImageName, PortGraph(2, [_OVERFLOW], [], {_OVERFLOW: 0})),  # suffix past the cap
+    (InvalidImageName, PortGraph(2, ["raw"], [], {"raw": 0})),
+    (RuleError, PortGraph(2, [_EPS], [], {_EPS: 9})),  # label off-alphabet
+    (RuleError, PortGraph(3, [_EPS], [], {_EPS: 0})),  # degree off the rule's
+]
 
-    def table_with(img):
-        return LocalRule(p, table={key: img})
 
-    with pytest.raises(MissingEpsilon):
-        table_with(PortGraph(2, [other], [], {other: 0}))
-    with pytest.raises(ImageTooLarge):
-        table_with(PortGraph(2, [eps, other], [], {eps: 0, other: 0}))
-    with pytest.raises(InvalidImageName):
-        table_with(PortGraph(2, [foreign], [], {foreign: 0}))  # word not in the disk
-    with pytest.raises(InvalidImageName):
-        table_with(PortGraph(2, [overflow], [], {overflow: 0}))  # suffix past the cap
-    with pytest.raises(InvalidImageName):
-        table_with(PortGraph(2, ["raw"], [], {"raw": 0}))
-    with pytest.raises(RuleError):
-        table_with(PortGraph(2, [eps], [], {eps: 9}))  # label off-alphabet
+def test_bad_images_are_rejected_when_asked():
+    for error, img in BAD_IMAGES:
+        rule = LocalRule(BAD_PARAMS, fn=lambda d, img=img: img)
+        with pytest.raises(error):
+            rule.image(BAD_KEY)
+        assert not rule._memo  # a refused image is not kept
 
 
 def _identity_with_overlapping_stub():
@@ -111,9 +115,52 @@ def test_image_name_sets_must_be_disjoint():
     assert all("two image vertices" in w for w in report.witnesses)
 
 
+def _assert_checked_and_templated_as_the_oracle(p, d, img):
+    try:
+        oracle.check_image(p, d, img)
+        want = oracle._template(img, d)
+    except RuleError as err:
+        with pytest.raises(RuleError) as info:
+            image_template(p, d, img)
+        assert (type(info.value), str(info.value)) == (type(err), str(err))
+    else:
+        assert image_template(p, d, img) == want
+
+
+def _folded(img):
+    """The image with its vertices folded in pairs, first with last, and
+    strung on a path: a good image whose vertices claim several elements."""
+    vs = sorted(img.vertices, key=sorted)
+    n = len(vs)
+    folded = [vs[i] | vs[n - 1 - i] for i in range((n + 1) // 2)]
+    path = zip(folded, folded[1:]) if img.degree > 1 else ()
+    return PortGraph(img.degree, folded, [((u, 1), (v, 2)) for u, v in path],
+                     {v: img.label(vs[i]) for i, v in enumerate(folded)})
+
+
+def test_image_template_agrees_with_the_frozen_check_and_template():
+    rules = [identity_rule(1, (0, 1)), identity_rule(2, (0, 1)), identity_rule(3, (0, 1)),
+             xor_label_rule(2), xor_label_rule(3), inflating_grid_rule(),
+             _identity_with_overlapping_stub()]
+    for seed, f in enumerate(rules):
+        p = f.params
+        for x in [random_graph(seed * 10 + i, degree=p.port_count, size=9,
+                               alphabet=p.labels) for i in range(3)]:
+            disks = [disk_around(x, w, p.radius) for w in x.words]
+            for d, other in zip(disks, disks[1:] + disks[:1]):
+                img = f.fn(d)
+                _assert_checked_and_templated_as_the_oracle(p, d, img)
+                _assert_checked_and_templated_as_the_oracle(p, d, _folded(img))
+                _assert_checked_and_templated_as_the_oracle(p, other, img)  # names off the disk
+                small = replace(p, bound=max(1, len(img.vertices) - 1))
+                _assert_checked_and_templated_as_the_oracle(small, d, img)
+    for _, img in BAD_IMAGES:
+        _assert_checked_and_templated_as_the_oracle(BAD_PARAMS, BAD_KEY, img)
+
+
 def test_partial_hole_carries_the_vertex():
     p = RuleParams(2, (0, 1), radius=1, bound=3)
-    hole_rule = LocalRule(p)
+    hole_rule = LocalRule(p, fn=lambda d: None)
     x = cycle_graph(4)
     with pytest.raises(PartialRuleHole) as info:
         apply_rule(hole_rule, x)
@@ -150,7 +197,7 @@ def test_application_commutes_with_repointing():
         (identity_rule(2, (0, 1)), random_graph(5, degree=2, size=9)),
     ]
     for rule, x in cases:
-        glued, _ = oracle_step_glued(rule, x)
+        glued, _ = oracle._step_glued(rule, x)
         for v in sorted(x.vertices, key=name_key):
             target = next(c for c in glued.vertices if (v, 0) in c)
             assert apply_rule(rule, shift(x, v)) == canonicalize(glued, target)
@@ -253,7 +300,7 @@ def test_continuity_modulus_holds(r):
         assert check_continuity(rule, r, pairs) == []
 
 
-def test_check_continuity_reports_offenders():
+def test_check_continuity_reports_offenders(monkeypatch):
     # a fake step that reads far beyond its stated radius must get caught
     xor = xor_label_rule()
 
@@ -265,5 +312,6 @@ def test_check_continuity_reports_offenders():
 
     pairs = [divergent_pair(seed, k=continuity_modulus(xor, 0), degree=2, size=16)
              for seed in range(40)]
-    offenders = check_continuity(xor, 0, pairs, step=bad_step)
+    monkeypatch.setattr("cgd.rules.apply_rule", bad_step)
+    offenders = check_continuity(xor, 0, pairs)
     assert offenders  # some pair separates a local step from a global one

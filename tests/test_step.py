@@ -13,7 +13,7 @@ from cgd.graph import EPSILON, CayleyGraph, DisconnectedInput, Disk, PortGraph, 
 from cgd.graph import InconsistentUnion, disk_around
 from cgd.library import identity_rule, inflating_grid_rule, xor_label_rule
 from cgd.machine import label_with, universal_rule
-from cgd.rules import LocalRule, PartialRuleHole, RuleParams, apply_rule
+from cgd.rules import LocalRule, PartialRuleHole, RuleParams, apply_rule, image_template
 
 
 def _graphs(seed, degree, alphabet, count=8, size=12):
@@ -149,6 +149,27 @@ def test_no_memo_entry_holds_a_disk():
     for rule in (f, univ):
         assert rule._memo
         assert not any(_holds_a_disk(item) for item in rule._memo.items())
+
+
+def _assert_every_entry_holds_its_template(f):
+    p = f.params
+    assert f._memo
+    for (nbr, lab), (img, template) in f._memo.items():
+        dk = Disk(CayleyGraph._of(p.port_count, nbr, lab), p.radius)
+        assert template == image_template(p, dk, img)
+
+
+@LIBRARY
+def test_every_memo_entry_holds_its_template(make):
+    f = make()
+    p = f.params
+    x, *more = _graphs(4, p.port_count, p.labels, count=3, size=12)
+    for w in x.words:
+        f.image(disk_around(x, w, p.radius))
+    _assert_every_entry_holds_its_template(f)
+    for y in more:
+        apply_rule(f, y)
+    _assert_every_entry_holds_its_template(f)
 
 
 # --- errors, against the oracle --------------------------------------------------
