@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import EPSILON, CayleyGraph, PortGraph, canonicalize, disk
+from .graph import EPSILON, CayleyGraph, GraphError, PortGraph, canonicalize, disk
 
 
 def _fill(vertices, label):
@@ -15,7 +15,7 @@ def _fill(vertices, label):
         return {v: label for v in vertices}
     vals = list(label)
     if len(vals) != len(vertices):
-        raise ValueError(f"{len(vals)} labels for {len(vertices)} vertices")
+        raise GraphError(f"{len(vals)} labels for {len(vertices)} vertices")
     return dict(zip(vertices, vals))
 
 

@@ -37,11 +37,10 @@ the same graph named by words; each is built on first use and cached.
 In them ``len(name)`` is the vertex's distance from the pointer.  The
 rule step builds no word of its input: it keys images by the disk's
 port array, places image elements at ints and glues them with
-``glue_all``, which takes int elements.  Words are still built where
-names are the interface: a rule function reading its disk, rule images,
-the validator (its renaming ``walk`` and ``consistent``), rendering, and
-any caller of those views.  The codec, equality and hashing never build
-them.
+``glue_all``.  Words are still built where names are the interface: a
+rule function reading its disk, rule images, the validator's renaming
+``walk``, rendering, and any caller of those views.  The codec,
+equality and hashing never build them.
 
 What a ``PortGraph`` stores: its vertices, their labels and its port
 map, the one record of its wiring.  ``edges`` is a view of the port
@@ -66,8 +65,9 @@ occur:
 Two places look inside name sets.  ``rules.image_template`` checks an
 image, keeping its name sets disjoint, and in the same pass turns each
 element into a (disk id, suffix) pair, which the rule step places and
-``codec.rank_image`` numbers; ``consistent`` compares images whose name
-sets share an element.
+``codec.rank_image`` numbers.  ``consistent``, which the validator runs
+on two renamed images, numbers their name elements and glues those ints
+with ``glue_all``, the step's own union-find.
 """
 from __future__ import annotations
 
@@ -515,77 +515,48 @@ class Consistency:
     witness: str | None = None
 
 
-def _classes(graphs) -> dict:
-    """Union-find over name elements: each vertex's name set is one class.
-
-    Every distinct name set opens a node.  Its elements not seen before
-    point at that node, and the classes of the elements already seen are
-    joined to it.  Returns each vertex's class as the id of its root, so
-    two vertices share a class exactly when a chain of name sets sharing
-    elements links them.  A vertex whose name is not a name set raises
-    GraphError, since reading it as one would glue on its characters or
-    items.
-    """
-    owner = {}  # element -> node of the first name set holding it
-    parent = []
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    node = {}
-    for g in graphs:
-        for v in g.vertices:
-            if v in node:
-                continue  # an equal name set adds no element
-            if not isinstance(v, frozenset):
-                raise GraphError(f"vertex {v!r} is not a name set, so it cannot be glued")
-            root = node[v] = len(parent)
-            parent.append(root)
-            for e in v:
-                i = find(owner.setdefault(e, root))
-                if i != root:
-                    parent[i] = root
-    return {v: find(i) for v, i in node.items()}
-
-
-def _clash(graphs, cls):
-    """Why the vertices of one class cannot be a single vertex, or None."""
-    label_of = {}
-    for g in graphs:
-        for v, lab in g.labels.items():
-            c = cls[v]
-            if label_of.setdefault(c, lab) != lab:
-                return f"label clash on shared vertex: {label_of[c]!r} vs {lab!r}"
-    port_use = {}
-    for g in graphs:
-        for (u, i), (v, j) in g.port_map().items():  # each edge both ways round
-            cu, cv = cls[u], cls[v]
-            if cu == cv and i == j:
-                return f"edge collapses onto a single port slot ({i})"
-            if port_use.setdefault((cu, i), (cv, j)) != (cv, j):
-                return f"port {i} double-booked on a shared vertex"
-    return None
-
-
 def consistent(g: PortGraph, h: PortGraph) -> Consistency:
     """Do g and h agree wherever they share vertices?
 
     Vertices are name sets, and two are shared when their sets intersect
     (such vertices denote one vertex once glued).  Agreement requires
-    equal labels and no port carrying two different edges.  ``nonempty``
-    reports whether the element sets of g and h intersect; consistency
-    with an empty overlap is trivial.
+    equal labels and no port carrying two different edges: the name
+    elements are numbered, g's first, and glued by ``glue_all``, whose
+    clash is the witness.  ``nonempty`` reports whether the element sets
+    of g and h intersect.  A vertex whose name is not a name set raises
+    GraphError, since reading it as one would glue on its characters.
     """
     if g.degree != h.degree:
         return Consistency(False, False, "port counts differ")
-    cls = _classes([g, h])
-    # a chain of name sets from a vertex of g to one of h passes an element of both
-    nonempty = not {cls[v] for v in g.vertices}.isdisjoint([cls[v] for v in h.vertices])
-    witness = _clash([g, h], cls)
-    return Consistency(witness is None, nonempty, witness)
+    d = g.degree
+    number, elems, joins, labels, ends = {}, [], [], [], []
+    for x in (g, h):
+        k = {}
+        for v in x.labels:
+            if not isinstance(v, frozenset):
+                raise GraphError(f"vertex {v!r} is not a name set, so it cannot be glued")
+            i = k[v] = len(elems)
+            rest = iter(v)  # an empty name set stands for itself
+            elems.append(number.setdefault(next(rest, v), len(number)))
+            for e in rest:
+                joins.append((i, number.setdefault(e, len(number))))
+        labels += x.labels.values()
+        for (u, a), (v, b) in x.port_map().items():
+            s, t = k[u] * d + a - 1, k[v] * d + b - 1
+            if s < t:  # each edge once, at its lower slot
+                ends += (s, t)
+        if x is g:
+            seen, at, joined = len(number), len(elems), len(joins)
+    if not elems:
+        return Consistency(True, False)  # nothing to glue
+    # g's elements are numbered below ``seen``
+    nonempty = (min(elems[at:], default=seen) < seen
+                or any(e < seen for _, e in joins[joined:]))
+    try:
+        glue_all(d, elems, labels, ends, joins)
+    except InconsistentUnion as clash:
+        return Consistency(False, nonempty, str(clash))
+    return Consistency(True, nonempty)
 
 
 def glue_all(degree, elems, labels, ends, joins=()):
@@ -602,7 +573,8 @@ def glue_all(degree, elems, labels, ends, joins=()):
     array over class ids, its labels, and each vertex's class id.
 
     Rule application glues rule images this way, each image element
-    placed at an int (see ``cgd.rules.apply_rule``).
+    placed at an int (see ``cgd.rules.apply_rule``); ``consistent``
+    glues two images whose name elements it has numbered.
     """
     if not elems:
         raise GraphError("nothing to glue")

@@ -53,6 +53,14 @@ disk id.  The library checks an image and builds its template in one
 walk, ``image_template``; both must give the same template, or raise
 the same exception class with the same text.
 
+``_classes``, ``_clash`` and ``classes_consistent`` are ``consistent``
+of ``cgd.graph`` as it stood at commit ed06b61: a union-find over name
+elements of its own makes each vertex's class, and a second pass reads
+the clashes off the classes.  The library numbers the name elements and
+glues them with its int ``glue_all``; both must give the same ``ok`` and
+``nonempty``, and the same witness, except which port of an edge a
+double-booking names when both of the edge's ends clash.
+
 Do not edit these copies to follow the library.
 """
 from collections import deque
@@ -838,3 +846,76 @@ def _template(img: PortGraph, dk: Disk) -> tuple:
     return (tuple(pairs[v][0] for v in vs),
             tuple((k[v], i, z) for v in vs for i, z in pairs[v][1:]),
             tuple(map(img.labels.__getitem__, vs)), tuple(ends))
+
+
+def _classes(graphs) -> dict:
+    """Union-find over name elements: each vertex's name set is one class.
+
+    Every distinct name set opens a node.  Its elements not seen before
+    point at that node, and the classes of the elements already seen are
+    joined to it.  Returns each vertex's class as the id of its root, so
+    two vertices share a class exactly when a chain of name sets sharing
+    elements links them.  A vertex whose name is not a name set raises
+    GraphError, since reading it as one would glue on its characters or
+    items.
+    """
+    owner = {}  # element -> node of the first name set holding it
+    parent = []
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    node = {}
+    for g in graphs:
+        for v in g.vertices:
+            if v in node:
+                continue  # an equal name set adds no element
+            if not isinstance(v, frozenset):
+                raise GraphError(f"vertex {v!r} is not a name set, so it cannot be glued")
+            root = node[v] = len(parent)
+            parent.append(root)
+            for e in v:
+                i = find(owner.setdefault(e, root))
+                if i != root:
+                    parent[i] = root
+    return {v: find(i) for v, i in node.items()}
+
+
+def _clash(graphs, cls):
+    """Why the vertices of one class cannot be a single vertex, or None."""
+    label_of = {}
+    for g in graphs:
+        for v, lab in g.labels.items():
+            c = cls[v]
+            if label_of.setdefault(c, lab) != lab:
+                return f"label clash on shared vertex: {label_of[c]!r} vs {lab!r}"
+    port_use = {}
+    for g in graphs:
+        for (u, i), (v, j) in g.port_map().items():  # each edge both ways round
+            cu, cv = cls[u], cls[v]
+            if cu == cv and i == j:
+                return f"edge collapses onto a single port slot ({i})"
+            if port_use.setdefault((cu, i), (cv, j)) != (cv, j):
+                return f"port {i} double-booked on a shared vertex"
+    return None
+
+
+def classes_consistent(g: PortGraph, h: PortGraph) -> Consistency:
+    """Do g and h agree wherever they share vertices?
+
+    Vertices are name sets, and two are shared when their sets intersect
+    (such vertices denote one vertex once glued).  Agreement requires
+    equal labels and no port carrying two different edges.  ``nonempty``
+    reports whether the element sets of g and h intersect; consistency
+    with an empty overlap is trivial.
+    """
+    if g.degree != h.degree:
+        return Consistency(False, False, "port counts differ")
+    cls = _classes([g, h])
+    # a chain of name sets from a vertex of g to one of h passes an element of both
+    nonempty = not {cls[v] for v in g.vertices}.isdisjoint([cls[v] for v in h.vertices])
+    witness = _clash([g, h], cls)
+    return Consistency(witness is None, nonempty, witness)

@@ -238,6 +238,15 @@ def test_enumeration_budget():
         list(enumerate_canonical_graphs(2, (0,)))  # no bound at all
 
 
+def test_enumeration_refuses_no_ports_and_an_empty_alphabet():
+    with pytest.raises(GraphError, match="need a port and a label, got 0 ports"):
+        enumerate_disks(0, (0,), 1)  # would be degree-0 graphs
+    with pytest.raises(GraphError, match="need a port and a label"):
+        enumerate_disks(2, (), 1)
+    with pytest.raises(GraphError, match="need a port and a label"):
+        list(enumerate_canonical_graphs(2, [], max_vertices=2))
+
+
 def _outcome_and_builds(enumerate_graphs, calls, *args, **kwargs):
     calls.clear()
     try:

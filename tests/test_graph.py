@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     layered_min_names,
     rename_by,
 )
+from oracle import classes_consistent as oracle_classes_consistent
 from oracle import consistent as oracle_consistent
 from oracle import glue_all as oracle_glue_all
 
@@ -28,6 +30,7 @@ from cgd.corpus import (
 from cgd.graph import (
     EPSILON,
     CayleyGraph,
+    Consistency,
     DisconnectedInput,
     Disk,
     DyadicDistance,
@@ -192,6 +195,13 @@ def test_shift_relocates_labels():
     y = shift(x, ((1, 2),))
     assert y.label(EPSILON) == 8
     assert sorted(y.labels.values()) == [7, 8, 9]
+
+
+def test_fixtures_refuse_a_label_list_of_the_wrong_length():
+    with pytest.raises(GraphError, match="1 labels for 4 vertices"):
+        grid_graph(2, 2, label=[0])
+    with pytest.raises(GraphError, match="2 labels for 3 vertices"):
+        cycle_graph(3, label=[0, 1])
 
 
 # --- disks -------------------------------------------------------------------
@@ -550,9 +560,13 @@ def _glued(glue, parts):
         return str(clash)
 
 
-def test_glue_agrees_with_the_frozen_oracle():
-    """Rule images, whole and with one part changed or dropped, glue alike,
-    or clash with the same witness."""
+def _mutant_corpus():
+    """Rule images, whole and with one part changed or dropped.
+
+    Yields each list of parts with the index pairs (k, m) of parts whose
+    centres lie within reach of each other, so that their images may
+    overlap.  A dropped part yields no pair.
+    """
     cases = [
         (identity_rule(2, (0, 1)), dict(degree=2, alphabet=(0, 1))),
         (identity_rule(3, (0, 1)), dict(degree=3, alphabet=(0, 1))),
@@ -560,7 +574,6 @@ def test_glue_agrees_with_the_frozen_oracle():
         (inflating_grid_rule(), dict(degree=4, alphabet=(0,))),
     ]
     rng = random.Random(5)
-    glued, verdicts = [], set()
     for rule, kw in cases:
         reach = 2 * rule.radius + 2
         for seed in range(4):
@@ -579,17 +592,67 @@ def test_glue_agrees_with_the_frozen_oracle():
                 if part is not None:
                     changed = parts[:k] + [part] + parts[k + 1:]
                     inputs.append((changed, [(k, m) for m in near[k]]))
-            for ps, pairs in inputs:
-                got = _glued(_glue_names, ps)
-                assert got == _glued(oracle_glue_all, ps)
-                glued.append(isinstance(got, str))
-                for k, m in pairs:
-                    new, old = consistent(ps[k], ps[m]), oracle_consistent(ps[k], ps[m])
-                    assert (new.ok, new.nonempty) == (old.ok, old.nonempty)
-                    verdicts.add((new.ok, new.nonempty))
+            yield from inputs
+
+
+def test_glue_agrees_with_the_frozen_oracle():
+    """Rule images, whole and with one part changed or dropped, glue alike,
+    or clash with the same witness."""
+    glued, verdicts = [], set()
+    for ps, pairs in _mutant_corpus():
+        got = _glued(_glue_names, ps)
+        assert got == _glued(oracle_glue_all, ps)
+        glued.append(isinstance(got, str))
+        for k, m in pairs:
+            new, old = consistent(ps[k], ps[m]), oracle_consistent(ps[k], ps[m])
+            assert (new.ok, new.nonempty) == (old.ok, old.nonempty)
+            verdicts.add((new.ok, new.nonempty))
     # the inputs reach every outcome of both functions
     assert 0 < sum(glued) < len(glued)
     assert verdicts == {(True, True), (True, False), (False, True)}
+
+
+_DOUBLE_BOOKED = re.compile(r"port (\d+) double-booked on a shared vertex")
+
+
+def test_consistent_agrees_with_the_frozen_class_glue():
+    """``consistent`` glues numbered elements as its name-set union-find
+    did: the same verdicts, and the same witnesses but for the port a
+    double-booking names when both ends of one edge clash."""
+    verdicts, renamed, total = set(), 0, 0
+    for ps, pairs in _mutant_corpus():
+        for k, m in pairs:
+            g, h = ps[k], ps[m]
+            new, old = consistent(g, h), oracle_classes_consistent(g, h)
+            assert (new.ok, new.nonempty) == (old.ok, old.nonempty)
+            verdicts.add((new.ok, new.nonempty))
+            total += 1
+            if new.witness != old.witness:
+                ports = [int(_DOUBLE_BOOKED.fullmatch(w).group(1))
+                         for w in (new.witness, old.witness)]
+                # the two ports are the two ends of one edge
+                assert any(sorted(ports) == sorted((i, j)) for x in (g, h)
+                           for (_, i), (_, j) in x.port_map().items())
+                renamed += 1
+    assert verdicts == {(True, True), (True, False), (False, True)}
+    assert renamed * 100 < total
+
+
+def test_consistent_hand_verdicts_the_corpus_misses():
+    # a label clash inside g, on elements h does not hold
+    a, ab, c = _ns(((), 0)), _ns(((), 0), (((1, 1),), 0)), _ns((((2, 2),), 0))
+    g = _g(2, [], {a: 0, ab: 1})
+    h = _g(2, [], {c: 0})
+    # two graphs without vertices glue to nothing, and trivially agree
+    e = PortGraph(2, [], [], {})
+    for (x, y), want in [((g, h), (False, False)), ((e, e), (True, False))]:
+        for check in (consistent, oracle_consistent, oracle_classes_consistent):
+            verdict = check(x, y)
+            assert (verdict.ok, verdict.nonempty) == want
+    assert consistent(g, h).witness == "label clash on shared vertex: 0 vs 1"
+    # unequal port counts are refused before any name is read
+    assert consistent(PortGraph(1, ["ab"], [], {"ab": 0}), e) == Consistency(
+        False, False, "port counts differ")
 
 
 # --- path language sanity ----------------------------------------------------
