@@ -68,23 +68,15 @@ def load_graph(source: str):
 def load_rule(source: str, *, degree=None, labels=None):
     """A rule plus its description; library names size themselves to the graph.
 
-    Library rules come without a description (None); a rule file's is
-    the one it was decoded from, at the size its own entries give.  A
-    library rule that cannot take the given port count or a given label
-    is refused.
+    Library rules come without a description (None), built from the
+    sizes given, which the builder refuses with RuleError if its rule
+    cannot take them.  A rule file's description is the one it was
+    decoded from, at the size its own entries give.
     """
     build = RULE_REGISTRY.get(source)
     if build is not None:
-        f = build(2 if degree is None else degree, (0, 1) if labels is None else labels)
-        p = f.params
-        if degree is not None and degree != p.port_count:
-            raise CliError(f"rule {source!r} works on {p.port_count}-port graphs, "
-                           f"not {degree}")
-        for lbl in labels or ():
-            if lbl not in p.labels:
-                raise CliError(f"label {lbl!r} is outside the alphabet {p.labels!r} "
-                               f"of rule {source!r}")
-        return f, None
+        sizes = {"port_count": degree, "labels": labels}
+        return build(**{k: v for k, v in sizes.items() if v is not None}), None
     path = Path(source)
     if not path.exists():
         raise CliError(f"{source!r} is neither a library rule "

@@ -342,8 +342,8 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     The budget is decided before any graph is built.  The walk records
     each leaf as its label tuple and port array, and raises
     BudgetExceeded on the leaf past ``budget``; graphs are built only
-    once the whole walk has fit.  A negative budget, no port or no label
-    raises GraphError.
+    once the whole walk has fit.  A negative budget, no port, no label or
+    a negative ``max_ecc`` raises GraphError.
     """
     if max_vertices is None and max_ecc is None:
         raise GraphError("need max_vertices or max_ecc to stay finite")
@@ -352,6 +352,8 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     alphabet = tuple(alphabet)
     if port_count < 1 or not alphabet:
         raise GraphError(f"need a port and a label, got {port_count} ports and {alphabet}")
+    if max_ecc is not None and max_ecc < 0:
+        raise GraphError(f"radius must be nonnegative, got {max_ecc}")
     d = port_count
     labels = [alphabet[0]]
     depth = [0]       # each vertex's distance from the pointer

@@ -33,7 +33,7 @@ def cycle_graph(n: int, label=0) -> CayleyGraph:
     return canonicalize(PortGraph(2, vertices, edges, _fill(vertices, label)), 0)
 
 
-# grid ports
+# grid ports, also the inflating-grid rule's
 N, S, E, W = 1, 2, 3, 4
 
 

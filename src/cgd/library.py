@@ -1,68 +1,84 @@
 """Built-in rules and the registry that lets descriptions name them.
 
-All three rules share the image idiom: the center claims itself via
-(eps, 0), every neighbour appears as a stub claiming itself via
-(neighbour, 0), and exactly the center's incident edges are mirrored.
-Stubs are what make adjacent images overlap, so the glue reassembles
-the whole graph instead of a dust of pieces.
+Every image is built by ``_block_image``: the center becomes a block, and
+each center edge gets stubs claiming the neighbour, which make adjacent
+images overlap so the glue reassembles the whole graph.  Every builder
+takes a port count and an alphabet, as ``RULE_REGISTRY`` passes them,
+and raises RuleError for a size its rule cannot take.
 """
 from __future__ import annotations
 
-from .graph import EPSILON, Disk, PortGraph
-from .rules import LocalRule, RuleParams
+from .corpus import E, N, S, W
+from .graph import EPSILON, PortGraph
+from .rules import LocalRule, RuleError, RuleParams
 
-N, S, E, W = 1, 2, 3, 4
+
+def _block_image(g, side, label_of, inner=()) -> PortGraph:
+    """The image of disk graph g: a block of parts q claiming (eps, q), wired
+    by ``inner`` as ((q, a), (r, b)), and for each center edge {eps: a, p: b}
+    edges joining the parts ``side[a]`` in order to stubs claiming (p, q) for
+    q in ``side[b]``.  The parts of disk vertex v are labelled ``label_of(v)``.
+    """
+    core = {q: frozenset({(EPSILON, q)}) for qs in side.values() for q in qs}
+    labels = dict.fromkeys(core.values(), label_of(EPSILON))
+    edges = [((core[q], a), (core[r], b)) for (q, a), (r, b) in inner]
+    for (c, a), (p, b) in g.port_map().items():
+        if c != EPSILON:
+            continue  # met again from the center's side, or wired by the neighbours' blocks
+        for qa, qb in zip(side[a], side[b]):
+            stub = frozenset({(p, qb)})
+            labels[stub] = label_of(p)
+            edges.append(((core[qa], a), (stub, b)))
+    return PortGraph(g.degree, labels, edges, labels)
+
+
+def _sized(f: LocalRule, port_count, labels) -> LocalRule:
+    """f, unless it cannot take ``port_count`` ports or one of ``labels``."""
+    p, key = f.params, f.registry_key
+    if port_count != p.port_count:
+        raise RuleError(f"rule {key!r} works on {p.port_count}-port graphs, not {port_count}")
+    for s in labels:
+        if s not in p.labels:
+            raise RuleError(f"label {s!r} is outside the alphabet {p.labels!r} of rule {key!r}")
+    return f
 
 
 def identity_rule(port_count=2, labels=(0, 1)) -> LocalRule:
     """F(x) = x, as a radius-1 rule: copy the center, its edges, its neighbours."""
     params = RuleParams(port_count, tuple(labels), radius=1, bound=port_count + 1)
-
-    def fn(d: Disk) -> PortGraph:
-        g = d.graph
-        name = {v: frozenset({(v, 0)}) for v in g.vertices}
-        edges = [((name[u], i), (name[v], j))
-                 for (u, i), (v, j) in g.port_map().items() if u == EPSILON]
-        return PortGraph(g.degree, name.values(), edges,
-                         {name[v]: g.label(v) for v in g.vertices})
-
-    return LocalRule(params, fn=fn, registry_key="identity")
+    side = dict.fromkeys(range(1, port_count + 1), (0,))
+    return LocalRule(params, fn=lambda d: _block_image(d.graph, side, d.graph.label),
+                     registry_key="identity")
 
 
-def xor_label_rule(port_count=2) -> LocalRule:
+def xor_label_rule(port_count=2, labels=(0, 1)) -> LocalRule:
     """Every vertex takes the parity of its closed neighbourhood's labels.
 
     Radius 2, because a stub must carry the neighbour's next label,
     which depends on the neighbour's own neighbourhood.
     """
     params = RuleParams(port_count, (0, 1), radius=2, bound=port_count + 1)
+    side = dict.fromkeys(range(1, port_count + 1), (0,))
 
-    def fn(d: Disk) -> PortGraph:
-        g = d.graph
-        pm = g.port_map()
+    def fn(d):
+        g, pm = d.graph, d.graph.port_map()
 
-        def around(c):
-            hits = {pm[(c, a)][0] for a in range(1, g.degree + 1) if (c, a) in pm}
-            return hits | {c}
+        def parity(c):  # of c's closed neighbourhood
+            near = {pm[(c, a)][0] for a in side if (c, a) in pm} | {c}
+            return sum(map(g.label, near)) % 2
 
-        def parity(c):
-            return sum(g.label(v) for v in around(c)) % 2
+        return _block_image(g, side, parity)
 
-        near = around(EPSILON)
-        name = {v: frozenset({(v, 0)}) for v in near}
-        edges = [((name[u], i), (name[v], j)) for (u, i), (v, j) in pm.items() if u == EPSILON]
-        return PortGraph(g.degree, name.values(), edges,
-                         {name[v]: parity(v) for v in near})
-
-    return LocalRule(params, fn=fn, registry_key="xor")
+    return _sized(LocalRule(params, fn=fn, registry_key="xor"), port_count, labels)
 
 
 # quadrant suffixes: the nw quadrant continues the old vertex, the rest bud off it
 NW, NE, SW, SE = 0, 1, 2, 3
 _SIDE = {N: (NW, NE), S: (SW, SE), E: (NE, SE), W: (NW, SW)}
+_INNER = (((NW, E), (NE, W)), ((SW, E), (SE, W)), ((NW, S), (SW, N)), ((NE, S), (SE, N)))
 
 
-def inflating_grid_rule() -> LocalRule:
+def inflating_grid_rule(port_count=4, labels=(0,)) -> LocalRule:
     """Split every vertex of a 4-port world into a wired 2 x 2 block.
 
     An old edge {u: a, p: b} becomes two parallel edges joining u's
@@ -71,34 +87,16 @@ def inflating_grid_rule() -> LocalRule:
     grid this doubles both dimensions every step.
     """
     params = RuleParams(4, (0,), radius=1, bound=12, suffix_count=3)
-
-    def fn(d: Disk) -> PortGraph:
-        g = d.graph
-        core = {q: frozenset({(EPSILON, q)}) for q in (NW, NE, SW, SE)}
-        vertices = set(core.values())
-        edges = [
-            ((core[NW], E), (core[NE], W)),
-            ((core[SW], E), (core[SE], W)),
-            ((core[NW], S), (core[SW], N)),
-            ((core[NE], S), (core[SE], N)),
-        ]
-        for (c, a), (p, b) in g.port_map().items():
-            if c != EPSILON:
-                continue  # met again from the centre's side, or wired by the neighbours' blocks
-            for qa, qb in zip(_SIDE[a], _SIDE[b]):
-                other = frozenset({(p, qb)})
-                vertices.add(other)
-                edges.append(((core[qa], a), (other, b)))
-        return PortGraph(4, vertices, edges, {v: 0 for v in vertices})
-
-    return LocalRule(params, fn=fn, registry_key="inflating-grid")
+    f = LocalRule(params, fn=lambda d: _block_image(d.graph, _SIDE, lambda v: 0, _INNER),
+                  registry_key="inflating-grid")
+    return _sized(f, port_count, labels)
 
 
-# Every library rule by name, built for a port count and an alphabet.  The
-# name is all a description needs to carry: the CLI and ``decode_rule``
-# both build rules from here.
+# Every library rule by name, built for a port count and an alphabet, each
+# with a default the CLI leaves in place when not given.  The name is all a
+# description needs to carry: the CLI and ``decode_rule`` build from here.
 RULE_REGISTRY = {
     "identity": identity_rule,
-    "xor": lambda port_count, labels: xor_label_rule(port_count),
-    "inflating-grid": lambda port_count, labels: inflating_grid_rule(),
+    "xor": xor_label_rule,
+    "inflating-grid": inflating_grid_rule,
 }

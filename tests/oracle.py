@@ -7,9 +7,9 @@ return equal graphs or raise the same exception class on every input.
 
 ``_Merge``, ``consistent`` and ``glue_all`` are the glue of ``cgd.graph``
 as it stood at commit 494b9f3: a three-pass union-find over (graph,
-vertex) handles.  The library's glue runs one union-find over name
-elements; the two must return equal graphs or both raise
-``InconsistentUnion``, and give the same ``ok`` and ``nonempty``.
+vertex) handles.  The library's glue runs one union-find over ints,
+the numbered name elements; the two must return equal graphs or both
+raise ``InconsistentUnion``, and give the same ``ok`` and ``nonempty``.
 
 ``MachineWorld``, ``_rebuild`` and ``machine_step`` are the construction
 machine of ``cgd.machine`` as it stood at commit 85b266d: every step
@@ -60,6 +60,13 @@ the clashes off the classes.  The library numbers the name elements and
 glues them with its int ``glue_all``; both must give the same ``ok`` and
 ``nonempty``, and the same witness, except which port of an edge a
 double-booking names when both of the edge's ends clash.
+
+``identity_fn``, ``xor_label_fn`` and ``inflating_grid_fn`` are the
+image functions of ``identity_rule``, ``xor_label_rule`` and
+``inflating_grid_rule`` in ``cgd.library`` as they stood at commit
+71b3ad0: each rule writes its image out by hand.  The library builds all
+three through one block builder; both must give equal images (``==``)
+on every disk.
 
 Do not edit these copies to follow the library.
 """
@@ -919,3 +926,58 @@ def classes_consistent(g: PortGraph, h: PortGraph) -> Consistency:
     nonempty = not {cls[v] for v in g.vertices}.isdisjoint([cls[v] for v in h.vertices])
     witness = _clash([g, h], cls)
     return Consistency(witness is None, nonempty, witness)
+
+
+def identity_fn(d: Disk) -> PortGraph:
+    """F(x) = x, as a radius-1 rule: copy the center, its edges, its neighbours."""
+    g = d.graph
+    name = {v: frozenset({(v, 0)}) for v in g.vertices}
+    edges = [((name[u], i), (name[v], j))
+             for (u, i), (v, j) in g.port_map().items() if u == EPSILON]
+    return PortGraph(g.degree, name.values(), edges,
+                     {name[v]: g.label(v) for v in g.vertices})
+
+
+def xor_label_fn(d: Disk) -> PortGraph:
+    """Every vertex takes the parity of its closed neighbourhood's labels."""
+    g = d.graph
+    pm = g.port_map()
+
+    def around(c):
+        hits = {pm[(c, a)][0] for a in range(1, g.degree + 1) if (c, a) in pm}
+        return hits | {c}
+
+    def parity(c):
+        return sum(g.label(v) for v in around(c)) % 2
+
+    near = around(EPSILON)
+    name = {v: frozenset({(v, 0)}) for v in near}
+    edges = [((name[u], i), (name[v], j)) for (u, i), (v, j) in pm.items() if u == EPSILON]
+    return PortGraph(g.degree, name.values(), edges,
+                     {name[v]: parity(v) for v in near})
+
+
+_N, _S, _E, _W = 1, 2, 3, 4
+_NW, _NE, _SW, _SE = 0, 1, 2, 3
+_QUADRANT_SIDE = {_N: (_NW, _NE), _S: (_SW, _SE), _E: (_NE, _SE), _W: (_NW, _SW)}
+
+
+def inflating_grid_fn(d: Disk) -> PortGraph:
+    """Split the disk's center of a 4-port world into a wired 2 x 2 block."""
+    g = d.graph
+    core = {q: frozenset({(EPSILON, q)}) for q in (_NW, _NE, _SW, _SE)}
+    vertices = set(core.values())
+    edges = [
+        ((core[_NW], _E), (core[_NE], _W)),
+        ((core[_SW], _E), (core[_SE], _W)),
+        ((core[_NW], _S), (core[_SW], _N)),
+        ((core[_NE], _S), (core[_SE], _N)),
+    ]
+    for (c, a), (p, b) in g.port_map().items():
+        if c != EPSILON:
+            continue  # met again from the centre's side, or wired by the neighbours' blocks
+        for qa, qb in zip(_QUADRANT_SIDE[a], _QUADRANT_SIDE[b]):
+            other = frozenset({(p, qb)})
+            vertices.add(other)
+            edges.append(((core[qa], a), (other, b)))
+    return PortGraph(4, vertices, edges, {v: 0 for v in vertices})

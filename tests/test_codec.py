@@ -247,6 +247,12 @@ def test_enumeration_refuses_no_ports_and_an_empty_alphabet():
         list(enumerate_canonical_graphs(2, [], max_vertices=2))
 
 
+def test_a_negative_radius_is_refused_before_the_walk(graphs_built):
+    with pytest.raises(GraphError, match="radius must be nonnegative, got -1"):
+        enumerate_disks(2, (0, 1), -1)
+    assert len(graphs_built) == 0  # no graph built, none encoded
+
+
 def _outcome_and_builds(enumerate_graphs, calls, *args, **kwargs):
     calls.clear()
     try:

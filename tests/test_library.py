@@ -1,11 +1,19 @@
 import random
 
+import oracle
 import pytest
 
 from cgd.cli import main
 from cgd.codec import RuleDescription, decode_rule
-from cgd.corpus import cycle_graph, grid_graph, path_graph, random_graph, sample_graph
-from cgd.graph import CayleyGraph, EPSILON, PortGraph, canonicalize, walk
+from cgd.corpus import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_graph,
+    random_port_graph,
+    sample_graph,
+)
+from cgd.graph import CayleyGraph, EPSILON, PortGraph, canonicalize, disk_around, walk
 from cgd.library import RULE_REGISTRY, identity_rule, inflating_grid_rule, xor_label_rule
 from cgd.rules import RuleError, RuleParams, apply_rule, iterate
 
@@ -141,3 +149,63 @@ def test_registry_is_the_one_list_of_rule_names(monkeypatch, capsys):
     assert built == [(2, (0,)), (3, (0, 1))]
     assert main(["run", "--rule", "no-such-rule", "--graph", "cycle-6"]) == 2
     assert "identity, xor, inflating-grid, copy" in capsys.readouterr().err
+
+
+def _disks(f, seed, count=40):
+    """Every disk of f's radius on seeded random graphs of f's size; the
+    extra edges make self-loops and parallel edges."""
+    p = f.params
+    rng = random.Random(seed)
+    for _ in range(count):
+        g, root = random_port_graph(rng, degree=p.port_count, size=rng.randint(1, 10),
+                                    alphabet=p.labels, extra=rng.choice((0.0, 0.5, 1.5)))
+        x = canonicalize(g, root)
+        yield from (disk_around(x, w, p.radius) for w in x.words)
+
+
+def test_block_images_agree_with_the_frozen_library():
+    cases = [(identity_rule(n, (0, 1)), oracle.identity_fn) for n in (1, 2, 3, 4)]
+    cases += [(xor_label_rule(n), oracle.xor_label_fn) for n in (1, 2, 3, 4)]
+    cases += [(inflating_grid_rule(4, (0,)), oracle.inflating_grid_fn)]
+    disks = loops = parallel = 0
+    for seed, (f, frozen) in enumerate(cases):
+        for d in _disks(f, seed):
+            assert f.fn(d) == frozen(d), (f.registry_key, d.graph.nbr, d.graph.lab)
+            ends = [v for (u, _), (v, _) in d.graph.port_map().items() if u == EPSILON]
+            disks += 1
+            loops += EPSILON in ends
+            parallel += len(set(ends)) < len(ends)
+    assert disks >= 1500 and loops >= 50 and parallel >= 200
+
+
+def test_builders_refuse_the_sizes_they_cannot_take():
+    with pytest.raises(RuleError) as info:
+        xor_label_rule(2, (0, 1, 2))
+    assert str(info.value) == "label 2 is outside the alphabet (0, 1) of rule 'xor'"
+    with pytest.raises(RuleError) as info:
+        inflating_grid_rule(2)
+    assert str(info.value) == "rule 'inflating-grid' works on 4-port graphs, not 2"
+    with pytest.raises(RuleError) as info:
+        inflating_grid_rule(4, (0, 1))
+    assert str(info.value) == "label 1 is outside the alphabet (0,) of rule 'inflating-grid'"
+    # a smaller alphabet fits, and the rule keeps its own
+    assert xor_label_rule(3, (0,)).params.labels == (0, 1)
+    assert inflating_grid_rule(4, ()).params == inflating_grid_rule().params
+
+
+def test_registry_holds_the_builders_themselves():
+    assert RULE_REGISTRY == {"identity": identity_rule, "xor": xor_label_rule,
+                             "inflating-grid": inflating_grid_rule}
+    assert RULE_REGISTRY["xor"] is xor_label_rule
+
+
+@pytest.mark.parametrize("key,params,text", [
+    ("inflating-grid", RuleParams(2, (0,), radius=1, bound=12, suffix_count=3),
+     "rule 'inflating-grid' works on 4-port graphs, not 2"),
+    ("xor", RuleParams(2, (0, 1, 2), radius=2, bound=3),
+     "label 2 is outside the alphabet (0, 1) of rule 'xor'"),
+], ids=["inflating-grid", "xor"])
+def test_decoding_a_key_at_a_size_its_builder_refuses(key, params, text):
+    with pytest.raises(RuleError) as info:
+        decode_rule(RuleDescription(params, registry_key=key))
+    assert str(info.value) == text
