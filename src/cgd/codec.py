@@ -342,8 +342,8 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     The budget is decided before any graph is built.  The walk records
     each leaf as its label tuple and port array, and raises
     BudgetExceeded on the leaf past ``budget``; graphs are built only
-    once the whole walk has fit.  A negative budget, no port, no label or
-    a negative ``max_ecc`` raises GraphError.
+    once the whole walk has fit.  A negative budget, no port, no label, a
+    repeated label or a negative ``max_ecc`` raises GraphError.
     """
     if max_vertices is None and max_ecc is None:
         raise GraphError("need max_vertices or max_ecc to stay finite")
@@ -352,6 +352,8 @@ def enumerate_canonical_graphs(port_count, alphabet, *, max_vertices=None,
     alphabet = tuple(alphabet)
     if port_count < 1 or not alphabet:
         raise GraphError(f"need a port and a label, got {port_count} ports and {alphabet}")
+    if len(set(alphabet)) != len(alphabet):
+        raise GraphError(f"labels must not repeat, got {alphabet}")
     if max_ecc is not None and max_ecc < 0:
         raise GraphError(f"radius must be nonnegative, got {max_ecc}")
     d = port_count
@@ -465,16 +467,23 @@ def _partition_counts(m_elems, k):
     return table
 
 
-def _image_space(params: RuleParams, key: Disk):
-    """The key disk's name elements in rank order, and the image counts by size k = 1..bound."""
-    elems = [(v, z) for v in key.graph.words for z in range(params.suffix_count + 1)]
-    m, d = len(params.labels), params.port_count
-    return elems, [_partition_counts(len(elems), k)[1][1] * m ** k * _involutions(k * d)
-                   for k in range(1, params.bound + 1)]
+@lru_cache(maxsize=None)
+def _image_counts(port_count, label_count, bound, suffix_count, n):
+    """The image counts by size k = 1..bound over a key disk of n vertices,
+    whose n * (suffix_count + 1) name elements are ranked in (disk id,
+    suffix) order."""
+    m_elems = n * (suffix_count + 1)
+    return tuple(_partition_counts(m_elems, k)[1][1] * label_count ** k
+                 * _involutions(k * port_count) for k in range(1, bound + 1))
+
+
+def _counts(params: RuleParams, key: Disk):
+    return _image_counts(params.port_count, len(params.labels), params.bound,
+                         params.suffix_count, len(key.graph.lab))
 
 
 def image_space_size(params: RuleParams, key: Disk) -> int:
-    return sum(_image_space(params, key)[1])
+    return sum(_counts(params, key))
 
 
 def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
@@ -486,12 +495,12 @@ def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
     id i, suffix z) is number ``i * (suffix_count + 1) + z``.
     """
     heads, more, labels, ends = image_template(params, key, img)
-    elems, counts = _image_space(params, key)
+    counts = _counts(params, key)
     per_id = params.suffix_count + 1
     block_of = {i * per_id + z: bi for bi, (i, z) in enumerate(heads)}
     block_of.update((i * per_id + z, bi) for bi, i, z in more)
     k = len(heads)
-    m_elems = len(elems)
+    m_elems = len(key.graph.lab) * per_id
     table = _partition_counts(m_elems, k)
     p_rank = 0
     opened = 1
@@ -523,9 +532,15 @@ def rank_image(params: RuleParams, key: Disk, img: PortGraph) -> int:
     return sum(counts[:k - 1]) + (p_rank * m ** k + l_rank) * _involutions(n_slots) + m_rank
 
 
-def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
-    """Inverse of ``rank_image``; out-of-range ranks raise BadIndex."""
-    elems, counts = _image_space(params, key)
+def unrank_image(params: RuleParams, key: Disk, rank: int) -> tuple:
+    """Inverse of ``rank_image``, as the image's template over the key disk's
+    ids (see ``rules.image_template``); out-of-range ranks raise BadIndex.
+
+    Blocks open in the order of their least element and take elements in
+    ascending order, and each slot is matched to a later one in ascending
+    order, so the template comes out in ``image_template``'s order.
+    """
+    counts = _counts(params, key)
     rest = rank
     for k, count_k in enumerate(counts, 1):
         if 0 <= rest < count_k:
@@ -534,7 +549,8 @@ def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
     else:
         raise BadIndex(f"rank {rank} is outside the {sum(counts)} images of the disk "
                        f"{encode_graph(key.graph).text}")
-    m_elems = len(elems)
+    per_id = params.suffix_count + 1
+    m_elems = len(key.graph.lab) * per_id
     m = len(params.labels)
     d = params.port_count
     n_slots = k * d
@@ -544,7 +560,8 @@ def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
     l_rank = rest % m ** k
     p_rank = rest // m ** k
     table = _partition_counts(m_elems, k)
-    blocks = [[0]]
+    heads = [(0, 0)]
+    more = []
     opened = 1
     for pos in range(1, m_elems):
         # choices in rank order: skip, join block 0.., open a new block;
@@ -554,18 +571,19 @@ def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
             continue
         if p_rank < (1 + opened) * follow:
             bi, p_rank = divmod(p_rank, follow)
-            blocks[bi - 1].append(pos)
+            more.append((bi - 1, *divmod(pos, per_id)))
         else:
             p_rank -= (1 + opened) * follow
-            blocks.append([pos])
+            heads.append(divmod(pos, per_id))
             opened += 1
+    more.sort()  # by block, then element
     label_digits = []
     for _ in range(k):
         label_digits.append(params.labels[l_rank % m])
         l_rank //= m
     label_digits.reverse()
     free = list(range(n_slots))
-    pairs = []
+    ends = []
     while free:
         s = free.pop(0)
         rest_slots = len(free)
@@ -573,16 +591,8 @@ def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
             continue
         m_rank -= _involutions(rest_slots)
         i, m_rank = divmod(m_rank, _involutions(rest_slots - 1))
-        partner = free.pop(i)
-        pairs.append((s, partner))
-    names = [frozenset(elems[i] for i in idxs) for idxs in blocks]
-    labels = dict(zip(names, label_digits))
-    edges = []
-    for a, b in pairs:
-        ba, pa = divmod(a, d)
-        bb, pb = divmod(b, d)
-        edges.append(((names[ba], pa + 1), (names[bb], pb + 1)))
-    return PortGraph(d, names, edges, labels)
+        ends += (s, free.pop(i))
+    return tuple(heads), tuple(more), tuple(label_digits), tuple(ends)
 
 
 # --- rule descriptions -------------------------------------------------------
@@ -681,13 +691,14 @@ def decode_rule(desc: RuleDescription) -> LocalRule:
         raise RuleError("description was made against a different disk catalog")
     if n != len(disks):
         raise RuleError(f"{n} entries for {len(disks)} catalog disks")
-    rank = {key: e for key, e in zip(disks, desc.entries) if e is not None}
+    rank = {(key.graph.nbr, key.graph.lab): (key, e)
+            for key, e in zip(disks, desc.entries) if e is not None}
 
-    def fn(d):
-        r = rank.get(d)
-        return None if r is None else unrank_image(p, d, r)
+    def ids(nbr, lab):
+        hit = rank.get((nbr, lab))
+        return None if hit is None else unrank_image(p, *hit)
 
-    return LocalRule(p, fn=fn)
+    return LocalRule(p, ids=ids)
 
 
 _RULE_HEADER_RE = re.compile(

@@ -37,9 +37,12 @@ the same graph named by words; each is built on first use and cached.
 In them ``len(name)`` is the vertex's distance from the pointer.  The
 rule step builds no word of its input: it keys images by the disk's
 port array, places image elements at ints and glues them with
-``glue_all``.  Words are still built where names are the interface: a
-rule function reading its disk, rule images, the validator's renaming
-``walk``, rendering, and any caller of those views.  The codec,
+``glue_all``.  The library rules, decoded descriptions and the universal
+rule read a disk as its port array too, so a step builds no word at all
+with them.  Words are still built where names are the interface: a rule
+function written over name sets, reading its ``Disk``; the name-set view
+of an image (``LocalRule.image``, a rule's ``fn``); the validator's
+renaming ``walk``; rendering; and any caller of those views.  The codec,
 equality and hashing never build them.
 
 What a ``PortGraph`` stores: its vertices, their labels and its port
@@ -63,9 +66,10 @@ occur:
 * anything else hashable (typically a string) for scratch graphs.
 
 Two places look inside name sets.  ``rules.image_template`` checks an
-image, keeping its name sets disjoint, and in the same pass turns each
-element into a (disk id, suffix) pair, which the rule step places and
-``codec.rank_image`` numbers.  ``consistent``, which the validator runs
+image written over name sets, keeping its name sets disjoint, and in the
+same pass turns each element into a (disk id, suffix) pair, which the
+rule step places and ``codec.rank_image`` numbers; a rule that answers
+in those pairs is checked on them by ``rules.check_template``.  ``consistent``, which the validator runs
 on two renamed images, numbers their name elements and glues those ints
 with ``glue_all``, the step's own union-find.
 """

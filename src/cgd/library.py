@@ -1,35 +1,47 @@
 """Built-in rules and the registry that lets descriptions name them.
 
-Every image is built by ``_block_image``: the center becomes a block, and
-each center edge gets stubs claiming the neighbour, which make adjacent
-images overlap so the glue reassembles the whole graph.  Every builder
+Every rule answers in disk ids, and every image is built by
+``_block_image`` from the disk's port array: the center becomes a block,
+and each center edge gets stubs claiming the neighbour, which make
+adjacent images overlap so the glue reassembles the whole graph.  Each
+rule's ``fn`` is the name-set view of these templates.  Every builder
 takes a port count and an alphabet, as ``RULE_REGISTRY`` passes them,
 and raises RuleError for a size its rule cannot take.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from .corpus import E, N, S, W
-from .graph import EPSILON, PortGraph
 from .rules import LocalRule, RuleError, RuleParams
 
 
-def _block_image(g, side, label_of, inner=()) -> PortGraph:
-    """The image of disk graph g: a block of parts q claiming (eps, q), wired
-    by ``inner`` as ((q, a), (r, b)), and for each center edge {eps: a, p: b}
-    edges joining the parts ``side[a]`` in order to stubs claiming (p, q) for
-    q in ``side[b]``.  The parts of disk vertex v are labelled ``label_of(v)``.
+def _block_image(d, nbr, side, label_of, inner=()) -> tuple:
+    """The template of the image of a disk with port array ``nbr`` over d ports:
+    a block of parts q claiming (0, q), wired by ``inner`` as ((q, a), (r, b)),
+    and for each center edge {0: a, p: b} edges joining the parts ``side[a]``
+    in order to stubs claiming (p, q) for q in ``side[b]``.  The parts of
+    disk vertex v are labelled ``label_of(v)``.
     """
-    core = {q: frozenset({(EPSILON, q)}) for qs in side.values() for q in qs}
-    labels = dict.fromkeys(core.values(), label_of(EPSILON))
-    edges = [((core[q], a), (core[r], b)) for (q, a), (r, b) in inner]
-    for (c, a), (p, b) in g.port_map().items():
-        if c != EPSILON:
-            continue  # met again from the center's side, or wired by the neighbours' blocks
+    core = label_of(0)
+    parts = {(0, q): core for qs in side.values() for q in qs}  # pair -> label
+    joins = [((0, q), a, (0, r), b) for (q, a), (r, b) in inner]
+    for a in range(1, d + 1):
+        s = nbr[a - 1]
+        if s < 0:
+            continue
+        p, b = divmod(s, d)
+        b += 1
+        if p == 0 and b < a:
+            continue  # a center self-loop, met first from its other end
+        label = label_of(p) if p else core
         for qa, qb in zip(side[a], side[b]):
-            stub = frozenset({(p, qb)})
-            labels[stub] = label_of(p)
-            edges.append(((core[qa], a), (stub, b)))
-    return PortGraph(g.degree, labels, edges, labels)
+            parts[p, qb] = label
+            joins.append(((0, qa), a, (p, qb), b))
+    heads = sorted(parts)  # one pair a part, so the pairs order the parts
+    k = {pair: i * d - 1 for i, pair in enumerate(heads)}  # port a of a part: slot k + a
+    edges = sorted(sorted((k[u] + a, k[v] + b)) for u, a, v, b in joins)
+    return tuple(heads), (), tuple(map(parts.__getitem__, heads)), tuple(chain(*edges))
 
 
 def _sized(f: LocalRule, port_count, labels) -> LocalRule:
@@ -47,7 +59,8 @@ def identity_rule(port_count=2, labels=(0, 1)) -> LocalRule:
     """F(x) = x, as a radius-1 rule: copy the center, its edges, its neighbours."""
     params = RuleParams(port_count, tuple(labels), radius=1, bound=port_count + 1)
     side = dict.fromkeys(range(1, port_count + 1), (0,))
-    return LocalRule(params, fn=lambda d: _block_image(d.graph, side, d.graph.label),
+    return LocalRule(params, ids=lambda nbr, lab: _block_image(port_count, nbr, side,
+                                                               lab.__getitem__),
                      registry_key="identity")
 
 
@@ -59,17 +72,17 @@ def xor_label_rule(port_count=2, labels=(0, 1)) -> LocalRule:
     """
     params = RuleParams(port_count, (0, 1), radius=2, bound=port_count + 1)
     side = dict.fromkeys(range(1, port_count + 1), (0,))
+    d = port_count
 
-    def fn(d):
-        g, pm = d.graph, d.graph.port_map()
-
+    def ids(nbr, lab):
         def parity(c):  # of c's closed neighbourhood
-            near = {pm[(c, a)][0] for a in side if (c, a) in pm} | {c}
-            return sum(map(g.label, near)) % 2
+            near = {s // d for s in nbr[c * d:c * d + d] if s >= 0}
+            near.add(c)
+            return sum(map(lab.__getitem__, near)) % 2
 
-        return _block_image(g, side, parity)
+        return _block_image(d, nbr, side, parity)
 
-    return _sized(LocalRule(params, fn=fn, registry_key="xor"), port_count, labels)
+    return _sized(LocalRule(params, ids=ids, registry_key="xor"), port_count, labels)
 
 
 # quadrant suffixes: the nw quadrant continues the old vertex, the rest bud off it
@@ -87,8 +100,11 @@ def inflating_grid_rule(port_count=4, labels=(0,)) -> LocalRule:
     grid this doubles both dimensions every step.
     """
     params = RuleParams(4, (0,), radius=1, bound=12, suffix_count=3)
-    f = LocalRule(params, fn=lambda d: _block_image(d.graph, _SIDE, lambda v: 0, _INNER),
-                  registry_key="inflating-grid")
+
+    def ids(nbr, lab):
+        return _block_image(4, nbr, _SIDE, lambda v: 0, _INNER)
+
+    f = LocalRule(params, ids=ids, registry_key="inflating-grid")
     return _sized(f, port_count, labels)
 
 

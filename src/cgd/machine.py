@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from .codec import GraphCode, ParseError, RuleDescription, decode_rule, encode_rule, is_pair
 from .graph import (
     CayleyGraph,
-    Disk,
     GraphError,
     PortConflict,
     PortGraph,
@@ -92,12 +91,13 @@ def universal_rule(params: RuleParams, descriptions) -> LocalRule:
     """One rule that runs any of the described rules, told apart by labels.
 
     A disk whose labels all carry description <f> is stripped bare, fed
-    to the decoded f's image function, and the image is stamped back
-    with <f>; f's holes stay holes.  Only the stamped image is checked
-    and memoized: it has the bare image's names, and its labels are in
-    the alphabet exactly when the bare ones are in f's.  Naming never
-    looks at labels, so the underlying dynamics is reproduced step for
-    step with no slowdown.
+    to the decoded f in disk ids, and the template it gives is stamped
+    back with <f>; f's holes stay holes.  No graph is built: the port
+    array is the same bare or stamped.  Only the stamped template is
+    checked and memoized: it has the bare template's pairs and edges,
+    and its labels are in the alphabet exactly when the bare ones are in
+    f's.  Naming never looks at labels, so the underlying dynamics is
+    reproduced step for step with no slowdown.
     """
     descs = tuple(descriptions)
     if not descs:
@@ -106,22 +106,25 @@ def universal_rule(params: RuleParams, descriptions) -> LocalRule:
         if d.params != params:
             raise ParamMismatch(f"description params {d.params} differ from {params}")
     uparams = replace(params, labels=tuple(SimLabel(s, d) for d in descs for s in params.labels))
-    image_fns = {}  # description -> the decoded rule's image function
+    hosted = {}  # description -> (the decoded rule, its stamp of each bare label)
 
-    def fn(dk: Disk) -> PortGraph:
-        found = {lbl.description for lbl in dk.graph.lab}
+    def ids(nbr, lab):
+        found = {lbl.description for lbl in lab}
         if len(found) != 1:
-            raise MixedRuleDescriptions(None, dk, "disk mixes two descriptions")
+            raise MixedRuleDescriptions(None, None, "disk mixes two descriptions")
         desc = found.pop()
-        if desc not in image_fns:
-            image_fns[desc] = decode_rule(desc).fn
-        img = image_fns[desc](Disk(unstamped(dk.graph), dk.radius))
-        if img is None:
+        if desc not in hosted:
+            hosted[desc] = (decode_rule(desc), {s.value: s for s in uparams.labels
+                                                if s.description == desc})
+        rule, stamp = hosted[desc]
+        t = rule.template(nbr, tuple(lbl.value for lbl in lab))
+        if t is None:
             return None
-        return PortGraph(img.degree, img.vertices, img.port_map().items(),
-                         {v: SimLabel(img.label(v), desc) for v in img.vertices})
+        heads, more, labels, ends = t
+        # a label f does not stamp stays bare, and the check refuses it
+        return heads, more, tuple(map(stamp.get, labels, labels)), ends
 
-    return LocalRule(uparams, fn=fn)
+    return LocalRule(uparams, ids=ids)
 
 
 @dataclass(frozen=True)

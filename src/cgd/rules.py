@@ -4,21 +4,26 @@ A local rule maps disks of a fixed radius to small graphs (images)
 whose vertices carry name sets built from the disk's vertex names: an
 element (w, 0) claims "this image vertex is the continuation of disk
 vertex w", an element (w, z) with z >= 1 claims "the z-th fresh vertex
-budded off w".  Applying a rule to a whole graph takes the image of
-every vertex's disk, places each image element at the vertex it names
-in the whole graph, and glues everything; shared claims merge, and the
-consistency conditions below guarantee they merge cleanly.
+budded off w".  Over disk ids the element is the pair (id of w, z), and
+an image written that way is its template (``image_template``).
+Applying a rule to a whole graph takes the image of every vertex's
+disk, places each image element at the vertex it names in the whole
+graph, and glues everything; shared claims merge, and the consistency
+conditions below guarantee they merge cleanly.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from .graph import (
     EPSILON,
     CayleyGraph,
     DisconnectedInput,
     Disk,
+    GraphError,
+    PortConflict,
     PortGraph,
     ball,
     consistent,
@@ -96,7 +101,8 @@ def image_template(p: RuleParams, d: Disk, img: PortGraph) -> tuple:
     vertices are ordered by their sorted pairs, so the vertex claiming
     the disk centre, (0, 0), comes first.  It holds each vertex's least
     pair, each further pair as (vertex, disk id, suffix), the vertices'
-    labels, and each edge once as two slots ``k*d + a-1``.
+    labels, and each edge once as two slots ``k*d + a-1``, the lower
+    first, the edges in ascending order.
     """
     if img.degree != p.port_count:
         raise RuleError("image degree differs from the rule's port count")
@@ -129,38 +135,175 @@ def image_template(p: RuleParams, d: Disk, img: PortGraph) -> tuple:
     blocks.sort()  # the pairs of two vertices are disjoint, so they decide
     k = {v: i for i, (_, _, v) in enumerate(blocks)}
     deg = img.degree
-    ends = []
+    edges = []
     for (u, a), (v, b) in img.port_map().items():
         s, t = k[u] * deg + a - 1, k[v] * deg + b - 1
         if s < t:
-            ends += (s, t)
+            edges.append((s, t))
+    edges.sort()
     return (tuple(pairs[0] for pairs, _, _ in blocks),
             tuple((i, j, z) for i, (pairs, _, _) in enumerate(blocks) for j, z in pairs[1:]),
-            tuple(label for _, label, _ in blocks), tuple(ends))
+            tuple(label for _, label, _ in blocks), tuple(chain.from_iterable(edges)))
+
+
+def check_template(p: RuleParams, n: int, t) -> None:
+    """Raise why ``t`` is no template of an image of an n-vertex disk under ``p``.
+
+    The checks are ``image_template``'s, read off the ints, and each
+    raises the class that the matching name-set image meets: an id past
+    the disk or a suffix past the count, and a pair in two vertices, raise
+    InvalidImageName; no (0, 0) MissingEpsilon; more vertices than the
+    bound ImageTooLarge; a label outside the alphabet RuleError.  A slot
+    out of range or paired with itself raises GraphError, and a slot used
+    twice PortConflict, as ``PortGraph`` does for such an edge.  The
+    template must also be in ``image_template``'s order, or RuleError.
+    """
+    heads, more, labels, ends = t
+    k = len(heads)
+    if k > p.bound:
+        raise ImageTooLarge(f"{k} vertices exceed the bound {p.bound}")
+    if len(labels) != k:
+        raise RuleError(f"template has {len(labels)} labels for {k} vertices")
+    pairs = list(heads)
+    for v, i, z in more:
+        if not 0 <= v < k:
+            raise RuleError(f"template pair {(i, z)!r} joins no vertex ({v})")
+        pairs.append((i, z))
+    s = p.suffix_count
+    for i, z in pairs:
+        if not (0 <= i < n and 0 <= z <= s):
+            raise InvalidImageName(f"element {(i, z)!r} not addressable from this disk")
+    if len(set(pairs)) != len(pairs):
+        twice = next(q for j, q in enumerate(pairs) if q in pairs[:j])
+        raise InvalidImageName(f"element {twice!r} appears in two image vertices")
+    for label in labels:
+        if label not in p.labels:
+            raise RuleError(f"image label {label!r} outside the rule alphabet")
+    if (0, 0) not in pairs:
+        raise MissingEpsilon("no image vertex claims the disk center")
+    lows, highs = ends[::2], ends[1::2]
+    if ends:
+        m = k * p.port_count
+        if len(lows) != len(highs) or min(ends) < 0 or max(ends) >= m:
+            raise GraphError(f"template slots {ends!r} are not pairs of the {m} slots "
+                             f"of its vertices")
+        if len(set(ends)) != len(ends):
+            if any(map(int.__eq__, lows, highs)):
+                raise GraphError("edge must join two distinct port slots")
+            raise PortConflict("a template slot is used by two edges")
+    # pairs and slots are distinct, so sorted means strictly ascending
+    if (heads != tuple(sorted(heads)) or not all(map(int.__lt__, lows, highs))
+            or lows != tuple(sorted(lows))
+            or more and (more != tuple(sorted(more))
+                         or any((i, z) < heads[v] for v, i, z in more))):
+        raise RuleError("template is not in image_template's order")
+
+
+def named_image(p: RuleParams, d: Disk, t) -> PortGraph:
+    """The name-set image of the template ``t`` on disk ``d``; the inverse of
+    ``image_template`` on a checked template."""
+    heads, more, labels, ends = t
+    words = d.graph.words
+    sets = [[(words[i], z)] for i, z in heads]
+    for v, i, z in more:
+        sets[v].append((words[i], z))
+    names = list(map(frozenset, sets))
+    deg = p.port_count
+    slot = iter(ends)
+    edges = [((names[a // deg], a % deg + 1), (names[b // deg], b % deg + 1))
+             for a, b in zip(slot, slot)]
+    return PortGraph(deg, names, edges, dict(zip(names, labels)))
+
+
+def _view(p: RuleParams, ids):
+    """The name-set function of a rule given in disk ids: each disk's image
+    is the view of its checked template."""
+    def fn(d: Disk):
+        g = d.graph
+        t = ids(g.nbr, g.lab)
+        if t is None:
+            return None
+        check_template(p, len(g.lab), t)
+        return named_image(p, d, t)
+
+    return fn
 
 
 class LocalRule:
     """A (possibly partial) map from radius-r disks to images.
 
-    ``fn`` gives a disk's image, or None for a hole.  Every image it
-    hands out is checked once and kept, with its template (see
-    ``image_template``), in one memo keyed by the disk's port array and
-    labels, which holds no disk.  ``registry_key`` names rules that
-    cannot be tabulated within any reasonable budget so they can still
-    be described and decoded.
+    A rule is given one of two ways.  ``ids(nbr, lab)`` reads a disk as
+    its port array and labels, the form ``graph.ball`` returns, and gives
+    the image's template (see ``image_template``) or None for a hole.
+    ``fn(d)`` is the name-set authoring form: it reads a ``Disk`` and
+    gives a name-set image or None.  A rule given by ``ids`` has as
+    ``fn`` the view of its templates, so every rule answers both ways.
+
+    Every image is checked once and kept as its template in one memo,
+    keyed by the disk's port array and labels, which holds no disk.  A
+    miss is the one path that fills it (``_miss``); a name-set ``fn``
+    reaches it through one adapter (``template``).  ``image`` builds the
+    name-set view of a template on first ask and keeps it apart.
+    ``registry_key`` names rules that cannot be tabulated within any
+    reasonable budget so they can still be described and decoded.
     """
 
-    __slots__ = ("params", "fn", "registry_key", "_memo")
+    __slots__ = ("params", "fn", "ids", "registry_key", "_memo", "_views")
 
-    def __init__(self, params: RuleParams, fn, registry_key=None):
+    def __init__(self, params: RuleParams, fn=None, registry_key=None, *, ids=None):
+        if (fn is None) == (ids is None):
+            raise RuleError("a rule is given by an ids function or a name-set fn, "
+                            "not both or neither")
         self.params = params
-        self.fn = fn
+        self.fn = _view(params, ids) if fn is None else fn
+        self.ids = ids
         self.registry_key = registry_key
-        self._memo = {}  # (nbr, lab) of a disk -> (image, template)
+        self._memo = {}   # (nbr, lab) of a disk -> its checked template
+        self._views = {}  # (nbr, lab) of a disk -> the template's name-set image
 
     @property
     def radius(self) -> int:
         return self.params.radius
+
+    def _disk(self, nbr, lab) -> Disk:
+        return Disk(CayleyGraph._of(self.params.port_count, nbr, lab), self.params.radius)
+
+    def template(self, nbr, lab, d: Disk = None):
+        """The rule's template of the disk (nbr, lab), unchecked and not
+        memoized, or None for a hole.
+
+        The adapter for a name-set ``fn``: build the ``Disk`` (unless the
+        caller has it, as ``d``), ask ``fn``, and template its image with
+        ``image_template``.
+        """
+        if self.ids is not None:
+            return self.ids(nbr, lab)
+        if d is None:
+            d = self._disk(nbr, lab)
+        img = self.fn(d)
+        return None if img is None else image_template(self.params, d, img)
+
+    def _miss(self, nbr, lab, d: Disk = None) -> tuple:
+        """Check, memoize and return the template of a disk not seen before.
+
+        A hole raises PartialRuleHole carrying the disk, built here if
+        the caller has none.
+        """
+        p = self.params
+        for lbl in lab:
+            if lbl not in p.labels:
+                raise RuleError(f"disk label {lbl!r} outside the rule alphabet")
+        try:
+            t = self.template(nbr, lab, d)
+            if t is None:
+                raise PartialRuleHole(None, d)
+        except PartialRuleHole as hole:
+            if hole.disk is None:
+                hole.disk = self._disk(nbr, lab) if d is None else d
+            raise
+        check_template(p, len(lab), t)
+        self._memo[nbr, lab] = t
+        return t
 
     def image(self, d: Disk) -> PortGraph:
         p = self.params
@@ -169,16 +312,14 @@ class LocalRule:
         g = d.graph
         if g.degree != p.port_count:
             raise RuleError(f"rule wants {p.port_count} ports, got {g.degree}")
-        for lbl in g.lab:
-            if lbl not in p.labels:
-                raise RuleError(f"disk label {lbl!r} outside the rule alphabet")
-        entry = self._memo.get((g.nbr, g.lab))
-        if entry is None:
-            img = self.fn(d)
-            if img is None:
-                raise PartialRuleHole(None, d)
-            entry = self._memo[g.nbr, g.lab] = (img, image_template(p, d, img))
-        return entry[0]
+        key = (g.nbr, g.lab)
+        view = self._views.get(key)
+        if view is None:
+            t = self._memo.get(key)
+            if t is None:
+                t = self._miss(g.nbr, g.lab, d)
+            view = self._views[key] = named_image(p, d, t)
+        return view
 
     def __repr__(self):
         return (f"<LocalRule {self.registry_key or 'fn'} r={self.params.radius} "
@@ -211,9 +352,10 @@ def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
 
     The step runs on vertex ids.  One search around each id gives the
     disk's port array, labels and visit order; the rule's memo, keyed
-    by the first two, gives the image's template.  Only a miss builds
-    the ``Disk`` and asks ``LocalRule.image``, which fills the entry.
-    The template's element (disk id i, suffix z) is placed at the int
+    by the first two, gives the image's template.  A miss asks the rule
+    for the template in the same ids (``LocalRule._miss``), so a step
+    builds no ``Disk`` unless the rule is written over name sets.  The
+    template's element (disk id i, suffix z) is placed at the int
     ``order[i] * (s+1) + z``, s being the rule's suffix count, and
     ``glue_all`` merges the placed images.  The output is pointed at
     the image of the input pointer, which exists because every image
@@ -232,12 +374,11 @@ def apply_rule(f: LocalRule, x: CayleyGraph) -> CayleyGraph:
         entry = memo.get((ports, lab))
         if entry is None:
             try:
-                f.image(Disk(CayleyGraph._of(d, ports, lab), r))
+                entry = f._miss(ports, lab)
             except PartialRuleHole as hole:
                 hole.vertex = x.words[u]
                 raise
-            entry = memo[ports, lab]
-        heads, more, image_labels, image_ends = entry[1]
+        heads, more, image_labels, image_ends = entry
         base = len(elems)
         elems += [order[i] * m + z for i, z in heads]
         if more:

@@ -68,12 +68,23 @@ image functions of ``identity_rule``, ``xor_label_rule`` and
 three through one block builder; both must give equal images (``==``)
 on every disk.
 
+``image_template`` and ``unrank_image`` (with ``_image_space``,
+``_partition_counts`` and ``_involutions``) are the image template of
+``cgd.rules`` and the image unranking of ``cgd.codec`` as they stood at
+commit e65f94a: a rule hands out a name-set image, which
+``image_template`` checks and turns into disk ids, and ``unrank_image``
+builds the name-set image of a rank.  The library's rules answer in disk
+ids, and its ``unrank_image`` returns the template; both must give the
+same template, up to the order of the edges in ``ends``.
+
 Do not edit these copies to follow the library.
 """
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from cgd.codec import (
+    BadIndex,
     BudgetExceeded,
     DanglingBacktrack,
     GraphCode,
@@ -981,3 +992,146 @@ def inflating_grid_fn(d: Disk) -> PortGraph:
             vertices.add(other)
             edges.append(((core[qa], a), (other, b)))
     return PortGraph(4, vertices, edges, {v: 0 for v in vertices})
+
+
+def image_template(p: RuleParams, d: Disk, img: PortGraph) -> tuple:
+    """Check that ``img`` is an image of ``d`` under ``p`` and return its template.
+
+    A wrong image raises the RuleError that says why.  The template is
+    the image over disk ids, what a step needs to place it anywhere:
+    each element (w, z) becomes the pair (disk id of w, z), and the
+    vertices are ordered by their sorted pairs, so the vertex claiming
+    the disk centre, (0, 0), comes first.  It holds each vertex's least
+    pair, each further pair as (vertex, disk id, suffix), the vertices'
+    labels, and each edge once as two slots ``k*d + a-1``.
+    """
+    if img.degree != p.port_count:
+        raise RuleError("image degree differs from the rule's port count")
+    if len(img.vertices) > p.bound:
+        raise ImageTooLarge(f"{len(img.vertices)} vertices exceed the bound {p.bound}")
+    at = {w: i for i, w in enumerate(d.graph.words)}
+    seen = set()
+    blocks = []  # per image vertex: its sorted pairs, its label and itself
+    for v in img.vertices:
+        if not isinstance(v, frozenset) or not v:
+            raise InvalidImageName(f"image vertex {v!r} is not a nonempty name set")
+        pairs = []
+        for elem in v:
+            if (not isinstance(elem, tuple) or len(elem) != 2
+                    or elem[0] not in at
+                    or not isinstance(elem[1], int)
+                    or not 0 <= elem[1] <= p.suffix_count):
+                raise InvalidImageName(f"element {elem!r} not addressable from this disk")
+            pair = (at[elem[0]], elem[1])
+            if pair in seen:
+                raise InvalidImageName(f"element {elem!r} appears in two image vertices")
+            seen.add(pair)
+            pairs.append(pair)
+        label = img.label(v)
+        if label not in p.labels:
+            raise RuleError(f"image label {label!r} outside the rule alphabet")
+        blocks.append((sorted(pairs), label, v))
+    if (0, 0) not in seen:
+        raise MissingEpsilon("no image vertex claims the disk center")
+    blocks.sort()  # the pairs of two vertices are disjoint, so they decide
+    k = {v: i for i, (_, _, v) in enumerate(blocks)}
+    deg = img.degree
+    ends = []
+    for (u, a), (v, b) in img.port_map().items():
+        s, t = k[u] * deg + a - 1, k[v] * deg + b - 1
+        if s < t:
+            ends += (s, t)
+    return (tuple(pairs[0] for pairs, _, _ in blocks),
+            tuple((i, j, z) for i, (pairs, _, _) in enumerate(blocks) for j, z in pairs[1:]),
+            tuple(label for _, label, _ in blocks), tuple(ends))
+
+
+@lru_cache(maxsize=None)
+def _involutions(n):
+    if n <= 1:
+        return 1
+    return _involutions(n - 1) + (n - 1) * _involutions(n - 2)
+
+
+@lru_cache(maxsize=4096)
+def _partition_counts(m_elems, k):
+    """table[pos][b] = ways to finish assigning elements pos.. with b blocks open."""
+    table = [[0] * (k + 1) for _ in range(m_elems + 1)]
+    table[m_elems][k] = 1
+    for pos in range(m_elems - 1, 0, -1):
+        for b in range(1, k + 1):
+            ways = (1 + b) * table[pos + 1][b]
+            if b < k:
+                ways += table[pos + 1][b + 1]
+            table[pos][b] = ways
+    return table
+
+
+def _image_space(params: RuleParams, key: Disk):
+    """The key disk's name elements in rank order, and the image counts by size k = 1..bound."""
+    elems = [(v, z) for v in key.graph.words for z in range(params.suffix_count + 1)]
+    m, d = len(params.labels), params.port_count
+    return elems, [_partition_counts(len(elems), k)[1][1] * m ** k * _involutions(k * d)
+                   for k in range(1, params.bound + 1)]
+
+
+def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
+    """Inverse of ``rank_image``; out-of-range ranks raise BadIndex."""
+    elems, counts = _image_space(params, key)
+    rest = rank
+    for k, count_k in enumerate(counts, 1):
+        if 0 <= rest < count_k:
+            break
+        rest -= count_k
+    else:
+        raise BadIndex(f"rank {rank} is outside the {sum(counts)} images of the disk "
+                       f"{encode_graph(key.graph).text}")
+    m_elems = len(elems)
+    m = len(params.labels)
+    d = params.port_count
+    n_slots = k * d
+    inv = _involutions(n_slots)
+    m_rank = rest % inv
+    rest //= inv
+    l_rank = rest % m ** k
+    p_rank = rest // m ** k
+    table = _partition_counts(m_elems, k)
+    blocks = [[0]]
+    opened = 1
+    for pos in range(1, m_elems):
+        # choices in rank order: skip, join block 0.., open a new block;
+        # the first two weigh table[pos+1][opened], opening weighs the rest
+        follow = table[pos + 1][opened]
+        if p_rank < follow:
+            continue
+        if p_rank < (1 + opened) * follow:
+            bi, p_rank = divmod(p_rank, follow)
+            blocks[bi - 1].append(pos)
+        else:
+            p_rank -= (1 + opened) * follow
+            blocks.append([pos])
+            opened += 1
+    label_digits = []
+    for _ in range(k):
+        label_digits.append(params.labels[l_rank % m])
+        l_rank //= m
+    label_digits.reverse()
+    free = list(range(n_slots))
+    pairs = []
+    while free:
+        s = free.pop(0)
+        rest_slots = len(free)
+        if m_rank < _involutions(rest_slots):
+            continue
+        m_rank -= _involutions(rest_slots)
+        i, m_rank = divmod(m_rank, _involutions(rest_slots - 1))
+        partner = free.pop(i)
+        pairs.append((s, partner))
+    names = [frozenset(elems[i] for i in idxs) for idxs in blocks]
+    labels = dict(zip(names, label_digits))
+    edges = []
+    for a, b in pairs:
+        ba, pa = divmod(a, d)
+        bb, pb = divmod(b, d)
+        edges.append(((names[ba], pa + 1), (names[bb], pb + 1)))
+    return PortGraph(d, names, edges, labels)

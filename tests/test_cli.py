@@ -287,6 +287,13 @@ def test_a_library_rule_refuses_a_label_outside_its_alphabet(capsys):
     assert err == "error: label 2 is outside the alphabet (0, 1) of rule 'xor'\n"
 
 
+def test_a_repeated_label_is_refused_by_enumerate_disks(capsys):
+    code, out, err = run_cli("enumerate-disks", "--ports", "1", "--labels", "0,0",
+                             "--radius", "1", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: labels must not repeat, got (0, 0)\n"
+
+
 # every flag each subcommand's cmd_* function reads, and no other
 FLAGS = {
     "encode": set(),

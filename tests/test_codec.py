@@ -1,9 +1,12 @@
 import random
+from itertools import chain
 
 import pytest
 from conftest import brute_canonical_graphs
 from oracle import decode_graph as oracle_decode_graph
 from oracle import enumerate_canonical_graphs as oracle_enumerate
+from oracle import image_template as oracle_image_template
+from oracle import unrank_image as oracle_unrank_image
 
 from cgd.codec import (
     BadIndex,
@@ -38,6 +41,8 @@ from cgd.rules import (
     RuleError,
     RuleParams,
     apply_rule,
+    check_template,
+    named_image,
 )
 
 GOLDEN = "$1;(1,1)$0;(2,3)$0(2,3)||;(1,1)$1(2,3)||;"
@@ -253,6 +258,16 @@ def test_a_negative_radius_is_refused_before_the_walk(graphs_built):
     assert len(graphs_built) == 0  # no graph built, none encoded
 
 
+def test_a_repeated_label_is_refused_before_the_walk(graphs_built):
+    # each copy of a label would yield every graph once more
+    with pytest.raises(GraphError) as info:
+        enumerate_disks(1, (0, 0), 1)
+    assert str(info.value) == "labels must not repeat, got (0, 0)"
+    with pytest.raises(GraphError, match="labels must not repeat"):
+        list(enumerate_canonical_graphs(2, [1, 0, 1], max_vertices=2))
+    assert len(graphs_built) == 0
+
+
 def _outcome_and_builds(enumerate_graphs, calls, *args, **kwargs):
     calls.clear()
     try:
@@ -361,7 +376,7 @@ def test_rank_unrank_bijection():
     for key in enumerate_disks(2, (0, 1), 1)[:4]:
         n = image_space_size(p, key)
         for r in range(n):
-            img = unrank_image(p, key, r)
+            img = named_image(p, key, unrank_image(p, key, r))
             assert rank_image(p, key, img) == r
         with pytest.raises(BadIndex):
             unrank_image(p, key, n)
@@ -373,8 +388,23 @@ def test_unranked_images_always_claim_the_center():
     p = _small_params()
     key = enumerate_disks(2, (0, 1), 1)[0]
     for r in range(image_space_size(p, key)):
-        img = unrank_image(p, key, r)
-        assert any(EPS_ELEM in v for v in img.vertices)
+        t = unrank_image(p, key, r)
+        check_template(p, len(key.graph.lab), t)  # in image_template's order too
+        assert t[0][0] == (0, 0)
+        assert any(EPS_ELEM in v for v in named_image(p, key, t).vertices)
+
+
+@pytest.mark.parametrize("build", [lambda: identity_rule(2, (0, 1)), xor_label_rule],
+                         ids=["identity-2", "xor-2"])
+def test_every_entry_unranks_as_the_frozen_unranking(build):
+    desc = encode_rule(build())
+    p = desc.params
+    keys = enumerate_disks(p.port_count, p.labels, p.radius)
+    assert len(keys) == len(desc.entries)
+    for key, r in zip(keys, desc.entries):
+        got = unrank_image(p, key, r)
+        heads, more, labels, ends = oracle_image_template(p, key, oracle_unrank_image(p, key, r))
+        assert got == (heads, more, labels, tuple(chain(*sorted(zip(ends[::2], ends[1::2])))))
 
 
 def test_rank_rejects_foreign_names():
@@ -399,7 +429,8 @@ def test_image_ranks_agree_between_rules_and_descriptions():
 
 def rank_and_back(rule, key):
     img = rule.image(key)
-    return unrank_image(rule.params, key, rank_image(rule.params, key, img))
+    p = rule.params
+    return named_image(p, key, unrank_image(p, key, rank_image(p, key, img)))
 
 
 # --- rule descriptions -------------------------------------------------------
@@ -482,7 +513,8 @@ def test_decode_guards():
 def test_holes_survive_the_description():
     p = RuleParams(1, (0,), radius=0, bound=1)
     keys = enumerate_disks(1, (0,), 0)
-    filled = LocalRule(p, fn=lambda d: unrank_image(p, d, 0) if d == keys[0] else None)
+    filled = LocalRule(p, fn=lambda d: named_image(p, d, unrank_image(p, d, 0))
+                       if d == keys[0] else None)
     assert encode_rule(filled).entries.count(None) == 0
     empty = LocalRule(p, fn=lambda d: None)  # a hole everywhere
     desc = encode_rule(empty)

@@ -15,7 +15,7 @@ from cgd.corpus import (
 )
 from cgd.graph import CayleyGraph, EPSILON, PortGraph, canonicalize, disk_around, walk
 from cgd.library import RULE_REGISTRY, identity_rule, inflating_grid_rule, xor_label_rule
-from cgd.rules import RuleError, RuleParams, apply_rule, iterate
+from cgd.rules import RuleError, RuleParams, apply_rule, check_template, iterate, named_image
 
 
 def test_identity_is_a_fixed_point_map():
@@ -176,6 +176,30 @@ def test_block_images_agree_with_the_frozen_library():
             loops += EPSILON in ends
             parallel += len(set(ends)) < len(ends)
     assert disks >= 1500 and loops >= 50 and parallel >= 200
+
+
+def _ends_as_pairs(t):
+    """A template with its edges in one order: the live template sorts them,
+    the frozen one keeps its image's port-map order."""
+    heads, more, labels, ends = t
+    return heads, more, labels, sorted(zip(ends[::2], ends[1::2]))
+
+
+def test_ids_templates_agree_with_the_frozen_library_and_template():
+    cases = [(identity_rule(n, (0, 1)), oracle.identity_fn) for n in (1, 2, 3, 4)]
+    cases += [(xor_label_rule(n), oracle.xor_label_fn) for n in (1, 2, 3, 4)]
+    cases += [(inflating_grid_rule(4, (0,)), oracle.inflating_grid_fn)]
+    disks = 0
+    for seed, (f, frozen) in enumerate(cases):
+        p = f.params
+        for d in _disks(f, seed):
+            got = f.ids(d.graph.nbr, d.graph.lab)
+            check_template(p, len(d.graph.lab), got)
+            want = oracle.image_template(p, d, frozen(d))
+            assert _ends_as_pairs(got) == _ends_as_pairs(want), (f.registry_key, d.graph.nbr)
+            assert f.fn(d) == named_image(p, d, got) == frozen(d)
+            disks += 1
+    assert disks >= 1500  # the disks of test_block_images_agree_with_the_frozen_library
 
 
 def test_builders_refuse_the_sizes_they_cannot_take():

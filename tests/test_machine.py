@@ -135,19 +135,19 @@ def test_zero_delay_simulation_inflating():
 def test_the_universal_rule_looks_up_stamped_disks_only(monkeypatch):
     f = xor_label_rule(2)
     seen = []
-    image = LocalRule.image
+    miss = LocalRule._miss
 
-    def recorded(rule, dk):
-        seen.append((rule, dk))
-        return image(rule, dk)
+    def recorded(rule, nbr, lab, d=None):
+        seen.append((rule, nbr, lab))
+        return miss(rule, nbr, lab, d)
 
-    monkeypatch.setattr(LocalRule, "image", recorded)
+    monkeypatch.setattr(LocalRule, "_miss", recorded)
     assert check_intrinsic_simulation(f, cycle_graph(6, label=[1, 0, 0, 1, 0, 0]), 2).ok
-    lifted = [dk for rule, dk in seen if rule is not f]
-    # a step asks once per distinct disk: the labels repeat with period 3 at
+    lifted = [(nbr, lab) for rule, nbr, lab in seen if rule is not f]
+    # a step misses once per distinct disk: the labels repeat with period 3 at
     # the first step and are all 1 at the second; the plain run's disks excluded
     assert len(lifted) == len(set(lifted)) == 4
-    assert all(isinstance(lbl, SimLabel) for dk in lifted for lbl in dk.graph.lab)
+    assert all(isinstance(lbl, SimLabel) for _, lab in lifted for lbl in lab)
 
 
 def test_a_hole_of_the_hosted_rule_is_a_hole_of_the_universal_rule():

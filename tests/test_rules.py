@@ -4,10 +4,18 @@ import oracle
 import pytest
 
 from cgd.codec import BudgetExceeded, rank_image
-from cgd.corpus import cycle_graph, divergent_pair, grid_graph, random_graph, sample_graph
+from cgd.corpus import (
+    cycle_graph,
+    divergent_pair,
+    grid_graph,
+    path_graph,
+    random_graph,
+    sample_graph,
+)
 from cgd.graph import (
     EPSILON,
     DisconnectedInput,
+    GraphError,
     PortGraph,
     canonicalize,
     disk,
@@ -28,9 +36,11 @@ from cgd.rules import (
     WrongRadius,
     apply_rule,
     check_continuity,
+    check_template,
     continuity_modulus,
     image_template,
     iterate,
+    named_image,
     orbit,
     validate_local_rule,
 )
@@ -82,10 +92,76 @@ BAD_IMAGES = [
 
 def test_bad_images_are_rejected_when_asked():
     for error, img in BAD_IMAGES:
+        with pytest.raises(error) as direct:
+            image_template(BAD_PARAMS, BAD_KEY, img)
+        want = (type(direct.value), str(direct.value))
         rule = LocalRule(BAD_PARAMS, fn=lambda d, img=img: img)
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             rule.image(BAD_KEY)
+        assert (type(info.value), str(info.value)) == want
+        with pytest.raises(error) as info:  # a step's miss builds the disk for fn
+            apply_rule(rule, BAD_KEY.graph)
+        assert (type(info.value), str(info.value)) == want
         assert not rule._memo  # a refused image is not kept
+
+
+# malformed templates over a 2-vertex disk, each with the name-set image that
+# has the same fault; building that image may already raise
+TEMPLATE_PARAMS = RuleParams(2, (0, 1), radius=1, bound=2, suffix_count=1)
+TEMPLATE_KEY = disk(path_graph(2), 1)
+_W = TEMPLATE_KEY.graph.words[1]
+_A, _B = _ns((EPSILON, 0)), _ns((_W, 0))
+
+
+def _named(*vertices, edges=(), labels=None):
+    labels = labels or [0] * len(vertices)
+    return lambda: PortGraph(2, vertices, edges, dict(zip(vertices, labels)))
+
+
+MALFORMED_TEMPLATES = {
+    "id past the disk": ((((0, 0), (2, 0)), (), (0, 0), ()),
+                         _named(_A, _ns((((9, 9),), 0)))),
+    "suffix past the count": ((((0, 0), (1, 2)), (), (0, 0), ()),
+                              _named(_A, _ns((_W, 2)))),
+    "pair in two vertices": ((((0, 0), (1, 0)), ((1, 0, 0),), (0, 0), ()),
+                             _named(_A, _ns((_W, 0), (EPSILON, 0)))),
+    "no (0, 0)": ((((0, 1),), (), (0,), ()), _named(_ns((EPSILON, 1)))),
+    "label outside the alphabet": ((((0, 0), (1, 0)), (), (0, 7), ()),
+                                   _named(_A, _B, labels=[0, 7])),
+    "more vertices than the bound": ((((0, 0), (0, 1), (1, 0)), (), (0, 0, 0), ()),
+                                     _named(_A, _ns((EPSILON, 1)), _B)),
+    "slot out of range": ((((0, 0), (1, 0)), (), (0, 0), (0, 4)),
+                          _named(_A, _B, edges=[((_A, 1), (_ns((_W, 1)), 1))])),
+    "slot paired with itself": ((((0, 0), (1, 0)), (), (0, 0), (1, 1)),
+                                _named(_A, _B, edges=[((_A, 2), (_A, 2))])),
+    "slot used twice": ((((0, 0), (1, 0)), (), (0, 0), (0, 2, 0, 3)),
+                        _named(_A, _B, edges=[((_A, 1), (_B, 1)), ((_A, 1), (_B, 2))])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEMPLATES))
+def test_check_template_raises_as_the_matching_image(case):
+    template, image = MALFORMED_TEMPLATES[case]
+    p, key = TEMPLATE_PARAMS, TEMPLATE_KEY
+    with pytest.raises(Exception) as named:  # noqa: B017 - the class is compared
+        image_template(p, key, image())
+    with pytest.raises(Exception) as info:  # noqa: B017
+        check_template(p, len(key.graph.lab), template)
+    assert type(info.value) is type(named.value)
+    assert isinstance(info.value, (RuleError, GraphError))
+
+
+def test_check_template_takes_what_image_template_gives():
+    p, key = TEMPLATE_PARAMS, TEMPLATE_KEY
+    good = _named(_A, _ns((_W, 0), (_W, 1)), edges=[((_A, 2), (_A, 1))], labels=[1, 0])()
+    t = image_template(p, key, good)
+    assert t == (((0, 0), (1, 0)), ((1, 1, 1),), (1, 0), (0, 1))
+    check_template(p, 2, t)
+    assert named_image(p, key, t) == good
+    for shuffled in [(t[0][::-1], ((0, 1, 1),), t[2][::-1], (2, 3)),  # vertices swapped
+                     (t[0], t[1], t[2], (1, 0))]:                      # an edge backwards
+        with pytest.raises(RuleError, match="order"):
+            check_template(p, 2, shuffled)
 
 
 def _identity_with_overlapping_stub():

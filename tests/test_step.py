@@ -7,7 +7,7 @@ import types
 import oracle
 import pytest
 
-from cgd.codec import encode_rule
+from cgd.codec import decode_rule, encode_rule
 from cgd.corpus import cycle_graph, random_port_graph
 from cgd.graph import EPSILON, CayleyGraph, DisconnectedInput, Disk, PortGraph, canonicalize
 from cgd.graph import InconsistentUnion, disk_around
@@ -97,26 +97,55 @@ def test_a_warm_step_builds_the_output_only_and_no_word(make, graphs_built):
         assert x._views._words is None  # neither step named the input by words
 
 
-@LIBRARY
-def test_a_cold_step_builds_two_graphs_per_distinct_disk(make, graphs_built):
-    p = make().params
-    for x in _graphs(6, p.port_count, p.labels, count=4, size=20):
-        f = make()
-        distinct = _distinct_disks(f, x)
+def _plain(rule):
+    return rule, lambda x: x
+
+
+# every rule that answers in disk ids, with the lift of its inputs: the
+# library's, a dense description's (its images come through unrank_image)
+# and the universal rule's
+IDS_RULES = pytest.mark.parametrize(
+    "make", [lambda: _plain(identity_rule(2, (0, 1))), lambda: _plain(xor_label_rule(2)),
+             lambda: _plain(inflating_grid_rule()),
+             lambda: _plain(decode_rule(encode_rule(xor_label_rule(2)))),
+             lambda: _universal(xor_label_rule(2))],
+    ids=["identity", "xor", "inflating", "decoded-xor", "universal"])
+
+
+@IDS_RULES
+def test_a_cold_step_builds_the_output_only(make, graphs_built, monkeypatch):
+    p = make()[0].params
+    alphabet = (0, 1) if p.port_count == 2 else (0,)
+    cases = []
+    for x in _graphs(6, p.port_count, alphabet, count=4, size=20):
+        f, lift = make()
+        x = lift(x)
+        cases.append((f, x, len({disk_around(x, w, p.radius) for w in x.words})))
+    disks = []
+    check = Disk.__post_init__
+
+    def counted(dk):
+        disks.append(dk)
+        check(dk)
+
+    monkeypatch.setattr(Disk, "__post_init__", counted)
+    for f, x, distinct in cases:
         graphs_built.clear()
         apply_rule(f, x)
-        assert len(graphs_built) <= 2 * distinct + 1  # a disk and an image per miss
+        assert len(graphs_built) == 1  # the output: a miss builds no graph
+        assert disks == []
+        assert len(f._memo) == distinct
 
 
 def test_the_rule_is_asked_once_per_distinct_disk(monkeypatch):
     asked = []
-    image = LocalRule.image
+    miss = LocalRule._miss
 
-    def recorded(rule, dk):
-        asked.append(dk)
-        return image(rule, dk)
+    def recorded(rule, nbr, lab, d=None):
+        asked.append((nbr, lab))
+        return miss(rule, nbr, lab, d)
 
-    monkeypatch.setattr(LocalRule, "image", recorded)
+    monkeypatch.setattr(LocalRule, "_miss", recorded)
     for x in _inputs(xor_label_rule(2)):
         f = xor_label_rule(2)
         asked.clear()
@@ -154,9 +183,9 @@ def test_no_memo_entry_holds_a_disk():
 def _assert_every_entry_holds_its_template(f):
     p = f.params
     assert f._memo
-    for (nbr, lab), (img, template) in f._memo.items():
+    for (nbr, lab), template in f._memo.items():
         dk = Disk(CayleyGraph._of(p.port_count, nbr, lab), p.radius)
-        assert template == image_template(p, dk, img)
+        assert template == image_template(p, dk, f.image(dk)) == f.template(nbr, lab)
 
 
 @LIBRARY
