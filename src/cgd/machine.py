@@ -24,9 +24,9 @@ table around the machine and writes its edits (vertices, edges and
 relabels added or removed) straight onto it, so a step costs in
 proportion to its radius-2 edit, not to the world.  The table logs
 every write, and a step that raises takes its writes back.  The worlds
-``trace`` yields are snapshots all the same: the newest one owns the
-table, each older one keeps the undo record of the step that left it,
-and ``MachineWorld.graph`` is built from them on first read.
+``trace`` yields are snapshots all the same: each is a version node
+that holds the table or the way back to it (see ``MachineWorld``), and
+its graph is built on first read.
 """
 from __future__ import annotations
 
@@ -258,69 +258,58 @@ class _PortTable:
                 d[key] = old
 
 
-class _Version:
-    """One world's state: the run's port table, or the way back from it.
-
-    A step hands the table on from its world's version to a new one, and
-    leaves behind the undo record of its edits and a link to the newer
-    version (Baker's version nodes, never rerooted).  Links run from
-    older to newer, so an old world's record is freed with the world.
-    ``graph`` caches the snapshot; a version holding it keeps no record.
-    """
-
-    __slots__ = ("table", "undo", "newer", "graph")
-
-    def __init__(self, table: _PortTable, graph: PortGraph = None):
-        self.table = table
-        self.undo = self.newer = None
-        self.graph = graph
-
-    def advance(self) -> _Version:
-        """Hand the table, with the step's edits logged, on to a new version."""
-        undo, self.table.log = self.table.log, []
-        new = _Version(self.table)
-        if self.graph is None:
-            self.undo, self.newer = undo, new
-        self.table = None
-        return new
-
-    def snapshot(self) -> PortGraph:
-        """This version's graph: the table, rolled back through newer versions' records."""
-        if self.graph is None:
-            undos, v = [], self
-            while v.table is None and v.graph is None:
-                undos.append(v.undo)
-                v = v.newer
-            if v.graph is not None:
-                t = _PortTable.of(v.graph)
-            elif undos:
-                t = _PortTable(v.table.degree, dict(v.table.labels), dict(v.table.ports))
-            else:
-                t = v.table  # the newest version reads the live table
-            for undo in reversed(undos):
-                t.revert(undo)
-            self.graph = t.graph()
-            self.undo = self.newer = None
-        return self.graph
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class MachineWorld:
     """One world of a run, fixed once made, however the run goes on.
 
+    A world is its own version node (Baker's, never rerooted).  While it
+    is the newest world of its run it holds the run's port table.  Its
+    step hands the table on to the next world and leaves behind the undo
+    record of the step's edits and a link to that world.  Links run from
+    older to newer, so an old world's record is freed with the world.
+    ``graph`` is built on first read and kept; a world that knows its
+    graph keeps no record or link, so it holds no newer world alive.
+
     Worlds are equal when their graphs and counters are.
     """
-    _version: _Version = field(repr=False)
     machine: object          # machine vertex, or None once it deleted itself
     root: object             # first built vertex, or None before it exists
     port_count: int          # natural ports of the graph under construction
     fresh: int = 0           # id counter for new vertices and stack cells
     steps: int = 0
+    _table: _PortTable = field(default=None, repr=False)
+    _graph: PortGraph = field(default=None, repr=False)
+    _undo: list = field(default=None, init=False, repr=False)
+    _newer: MachineWorld = field(default=None, init=False, repr=False)
+
+    def _hand_on(self, new: MachineWorld) -> MachineWorld:
+        """Hand the run's table, with this world's step logged, on to ``new``."""
+        undo, new._table.log = new._table.log, []
+        if self._graph is None:
+            self._undo, self._newer = undo, new
+        self._table = None
+        return new
 
     @property
     def graph(self) -> PortGraph:
-        """The world as a port graph, built on first read."""
-        return self._version.snapshot()
+        """The world as a port graph: the run's table, rolled back through
+        the records of the newer worlds, built on first read."""
+        if self._graph is None:
+            undos, w = [], self
+            while w._table is None and w._graph is None:
+                undos.append(w._undo)
+                w = w._newer
+            if w._graph is not None:
+                t = _PortTable.of(w._graph)
+            elif undos:
+                t = _PortTable(w._table.degree, dict(w._table.labels), dict(w._table.ports))
+            else:
+                t = w._table  # the newest world reads the live table
+            for undo in reversed(undos):
+                t.revert(undo)
+            self._graph = t.graph()
+            self._undo = self._newer = None
+        return self._graph
 
     @property
     def done(self) -> bool:
@@ -359,17 +348,15 @@ def build_machine_world(code: GraphCode, desc: RuleDescription) -> MachineWorld:
         edges.append((("M", 1), (tid, 1)) if prev is None else ((prev, 2), (tid, 1)))
         prev = tid
     g = PortGraph(wp, vertices.keys(), edges, vertices)
-    return MachineWorld(_Version(_PortTable.of(g), g), machine="M", root=None, port_count=d)
+    return MachineWorld("M", None, d, _table=_PortTable.of(g), _graph=g)
 
 
 def machine_step(w: MachineWorld) -> MachineWorld:
     if w.machine is None:
         raise MalformedWorld("the machine already left this world")
-    ver = w._version
-    if ver.table is None:  # an older world steps again: go on from a fresh table
-        g = w.graph
-        ver = _Version(_PortTable.of(g), g)
-    table = ver.table
+    table = w._table
+    if table is None:  # an older world steps again: go on from a fresh table
+        table = _PortTable.of(w.graph)
     labels, ports = table.labels, table.ports
     M = w.machine
     d = w.port_count
@@ -390,9 +377,9 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         if nxt:
             table.add_edge((M, 1), (nxt[0], 1))
 
-    def moved(phase2, arg2=None, **counters):
+    def moved(phase2, arg2=None, root=w.root, fresh=w.fresh):
         table.relabel(M, ("M", phase2, arg2))
-        return replace(w, _version=ver.advance(), steps=w.steps + 1, **counters)
+        return w._hand_on(MachineWorld(M, root, d, fresh, w.steps + 1, table))
 
     def push_cells(payloads, base):
         """Stack new cells above the current top, bottom first."""
@@ -565,8 +552,8 @@ def machine_step(w: MachineWorld) -> MachineWorld:
                 table.del_edge((M, 3), ports[M, 3])
             else:
                 table.del_vertex(M)
-                return replace(w, _version=ver.advance(), machine=None,
-                               steps=w.steps + 1)
+                return w._hand_on(MachineWorld(None, w.root, d, w.fresh,
+                                               w.steps + 1, table))
             return moved("finish")
 
         raise MalformedWorld(f"unknown machine phase {phase!r}")

@@ -3,6 +3,7 @@ import io
 import sys
 
 import pytest
+from test_rules import _identity_with_blank_stubs
 
 from cgd.cli import build_parser, main
 from cgd.codec import (
@@ -191,6 +192,18 @@ def test_validate_rule_exhaustive_identity(capsys):
     assert "passes the consistency conditions" in out
 
 
+def test_validate_rule_prints_the_witnesses_of_a_failing_rule_file(tmp_path, capsys):
+    f = tmp_path / "forgetful.rule"
+    f.write_text(write_rule(encode_rule(_identity_with_blank_stubs())))
+    code, out, _ = run_cli("validate-rule", "--rule", str(f), "--samples", "60",
+                           "--seed", "0", capsys=capsys)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "checked 60 cases (sampled), bound respected"
+    assert len(lines) > 2 and all(ln.startswith("witness: ") for ln in lines[1:-1])
+    assert lines[-1] == "rule FAILS the consistency conditions"
+
+
 def test_degree_mismatch_is_reported(capsys):
     code, _, err = run_cli("run", "--rule", "inflating-grid", "--graph", "fig4",
                            "--steps", "1", capsys=capsys)
@@ -207,6 +220,14 @@ def test_a_hole_prints_the_offending_disk(tmp_path, capsys):
     assert code == 2
     assert "no image for the disk at ()" in err
     assert "offending disk: $" in err
+
+
+def test_a_rule_file_for_other_ports_than_the_graph_is_refused(tmp_path, capsys):
+    f = tmp_path / "identity-2.rule"
+    f.write_text("ports=2 labels=0,1 radius=1 bound=3 suffixes=3\nregistry=identity\n")
+    code, out, err = run_cli("run", "--rule", str(f), "--graph", "fig4", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: rule works on 2-port graphs, graph has 3\n"
 
 
 def one_hole_rule(tmp_path):

@@ -28,8 +28,10 @@ from cgd.codec import (
     parse_tokens,
     rank_image,
     read_code,
+    read_rule,
     unrank_image,
     write_code,
+    write_rule,
 )
 from cgd.corpus import cycle_graph, grid_graph, random_graph, sample_graph
 from cgd.graph import EPS_ELEM, GraphError, PortGraph, eccentricity
@@ -482,6 +484,32 @@ def test_procedural_description_for_unbudgetable_rules():
     back = decode_rule(desc)
     g = grid_graph(2, 2)
     assert apply_rule(back, g) == apply_rule(infl, g)
+
+
+@pytest.mark.parametrize("build", [inflating_grid_rule, lambda: identity_rule(3, (0, 1))],
+                         ids=["inflating-grid", "identity-3"])
+def test_a_keyed_description_round_trips_through_a_rule_file(build):
+    desc = encode_rule(build())
+    assert desc.registry_key is not None  # the catalog is past the default budget
+    back = read_rule(write_rule(desc))
+    assert back == desc
+    assert decode_rule(back).params == build().params
+
+
+RULE_HEADER = "ports=2 labels=0,1 radius=1 bound=3 suffixes=3"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty rule file"),
+    (f"{RULE_HEADER}\n", "rule file ends after the header"),
+    (f"{RULE_HEADER}\nentries=1 2\n", "expected a registry= or catalog= line"),
+    (f"{RULE_HEADER}\ncatalog=00\n1 x -\n", "a rule entry is neither '-' nor a rank "
+     "(invalid literal for int() with base 10: 'x')"),
+])
+def test_rule_files_are_refused_with_their_reason(text, message):
+    with pytest.raises(ParseError) as info:
+        read_rule(text)
+    assert str(info.value) == message
 
 
 def test_unkeyed_rule_past_budget_raises():

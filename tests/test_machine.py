@@ -4,6 +4,7 @@ import pytest
 
 import oracle
 from conftest import assert_step_local
+from test_codec import _mutated_codes
 
 from cgd.cli import FIXTURES
 from cgd.codec import (
@@ -29,6 +30,7 @@ from cgd.machine import (
     label_with,
     machine_step,
     run_machine,
+    simulation_history,
     trace,
     universal_rule,
     world_port_count,
@@ -172,6 +174,9 @@ def test_simulation_flags_the_first_bad_step():
     rep = check_intrinsic_simulation(base, cycle_graph(4, label=1), 3,
                                      desc=encode_rule(blank))
     assert not rep.ok and rep.first_divergence == 1
+    rows = list(simulation_history(base, cycle_graph(4, label=1), 3,
+                                   desc=encode_rule(blank)))
+    assert [(k, gap is None) for k, _, _, gap in rows] == [(0, True), (1, False)]
 
 
 # --- building the world -------------------------------------------------------
@@ -335,6 +340,23 @@ def test_stepping_an_old_world_again_branches_off():
         assert fields(w) == fields(o)
 
 
+def test_an_old_world_rolls_back_from_a_newer_world_s_graph(monkeypatch):
+    start = build_machine_world(code_for(sample_graph()), IDD3)
+    want = oracle_worlds(start)
+    worlds = [start]
+    while not worlds[-1].done:
+        worlds.append(machine_step(worlds[-1]))
+        if worlds[-1].steps % 7 == 0:
+            worlds[-1].graph  # read while it is the newest world, then step on
+    cached = []
+    of = _PortTable.of
+    monkeypatch.setattr(_PortTable, "of", lambda g: cached.append(g) or of(g))
+    for w, o in zip(worlds, want):
+        assert fields(w) == fields(o)
+    # the worlds before a read one start their rollback from its graph
+    assert {id(g) for g in cached} == {id(w.graph) for w in worlds[7::7]}
+
+
 def test_the_newest_world_stepped_twice_gives_one_world():
     start = build_machine_world(code_for(cycle_graph(4)), IDD2)
     want = oracle_worlds(start)
@@ -457,11 +479,15 @@ def test_every_step_is_a_radius_two_rewrite(x, desc):
 # --- worlds the protocol must refuse ------------------------------------------
 
 
-def bad_code(text, port_count=2, alphabet=(0, 1)):
-    return GraphCode(port_count, alphabet, parse_tokens(text, alphabet))
+def bad_code(tape, port_count=2, alphabet=(0, 1)):
+    tokens = tape if isinstance(tape, tuple) else parse_tokens(tape, alphabet)
+    return GraphCode(port_count, alphabet, tokens)
 
 
-@pytest.mark.parametrize("text", [
+L0 = ("lbl", 0)
+
+
+@pytest.mark.parametrize("tape", [
     "$0(1,2)|;",          # one bar with a single vertex built
     "$0(1,2)(1,2);",      # second backedge lands on used ports
     "$0(1,1);",           # both ends of a loop on one slot
@@ -469,10 +495,33 @@ def bad_code(text, port_count=2, alphabet=(0, 1)):
     "$0;$1;",             # second word without a fresh vertex
     "$0;(1,1)$0;(1,2)(1,1)$0;",  # walks into the wrong port
     "$0;(1,1)",           # fresh vertex never gets its word
+    (";",),               # a tape that does not start with '$'
+    ("$", (1, 2)),        # a pair where the label belongs
+    ("$", L0, "$"),       # a word that never reaches its ';'
+    ("$", L0, (1, 2)),    # tape ends inside a backedge
+    ("$", L0, (1, 2), "$"),   # a backedge followed by neither bars, a pair nor ';'
+    ("$", L0, (1, 3), ";"),   # a backedge to a port past the port count
 ])
-def test_malformed_tapes_are_refused(text):
+def test_malformed_tapes_are_refused(tape):
+    with pytest.raises(ParseError):
+        decode_graph(bad_code(tape))
     with pytest.raises(MalformedWorld):
-        run_machine(build_machine_world(bad_code(text), IDD2))
+        run_machine(build_machine_world(bad_code(tape), IDD2))
+
+
+def test_the_machine_reads_every_code_as_the_decoder_does():
+    descs = {1: encode_rule(identity_rule(1, (0, 1))), 2: IDD2, 3: IDD3, 4: IDD4}
+    for code in _mutated_codes(2000, seed=11):
+        desc = descs.get(code.port_count)
+        if desc is None:
+            continue
+        try:
+            want = label_with(decode_graph(code), desc)
+        except ParseError:
+            with pytest.raises(MalformedWorld):
+                run_machine(build_machine_world(code, desc))
+        else:
+            assert run_machine(build_machine_world(code, desc)) == want, code
 
 
 def test_oversized_ports_on_the_tape_are_refused():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import oracle
@@ -352,6 +353,16 @@ def test_validation_catches_images_that_never_touch():
     report = validate_local_rule(_identity_without_stubs(), samples=40, seed=0)
     assert not report.ok
     assert any("touch" in w for w in report.witnesses)
+
+
+def test_validation_reports_a_partial_rule():
+    base = identity_rule(2, (0, 1))
+    partial = LocalRule(base.params,  # no image where the centre is labelled 1
+                        fn=lambda d: None if d.graph.label(EPSILON) else base.fn(d))
+    report = validate_local_rule(partial, samples=20, seed=0)
+    assert not report.ok and report.witnesses
+    for w in report.witnesses:  # each hole names its vertex of the ambient
+        assert re.match(r"rule is not total: no image at \(.*\) in ambient <", w), w
 
 
 def test_stubless_rule_actually_shatters():
