@@ -178,9 +178,9 @@ def encode_graph(x: CayleyGraph, alphabet=None) -> GraphCode:
     d, nbr, lab = x.degree, x.nbr, x.lab
     if alphabet is None:
         alphabet = tuple(range(max(lab, default=0) + 1))
-    label_token = {}
-    for s in alphabet:
-        label_token.setdefault(s, ("lbl", s))
+    label_token = {s: ("lbl", s) for s in alphabet}
+    if len(label_token) != len(alphabet):
+        raise ParseError("alphabet repeats a label")
     if any(s not in label_token for s in set(lab)):
         raise ParseError("graph label missing from the alphabet")
     pairs = [(a + 1, b + 1) for a in range(d) for b in range(d)]

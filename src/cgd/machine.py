@@ -117,7 +117,7 @@ def universal_rule(params: RuleParams, descriptions) -> LocalRule:
             hosted[desc] = (decode_rule(desc), {s.value: s for s in uparams.labels
                                                 if s.description == desc})
         rule, stamp = hosted[desc]
-        t = rule.template(nbr, tuple(lbl.value for lbl in lab))
+        t = rule.ids(nbr, tuple(lbl.value for lbl in lab))
         if t is None:
             return None
         heads, more, labels, ends = t

@@ -5,7 +5,8 @@ whose vertices carry name sets built from the disk's vertex names: an
 element (w, 0) claims "this image vertex is the continuation of disk
 vertex w", an element (w, z) with z >= 1 claims "the z-th fresh vertex
 budded off w".  Over disk ids the element is the pair (id of w, z), and
-an image written that way is its template (``image_template``).
+an image written that way is its template (``image_template``).  A rule
+is asked for a disk's template in one place, ``LocalRule._miss``.
 Applying a rule to a whole graph takes the image of every vertex's
 disk, places each image element at the vertex it names in the whole
 graph, and glues everything; shared claims merge, and the consistency
@@ -92,6 +93,68 @@ class RuleParams:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
+def check_template(p: RuleParams, n: int, t) -> None:
+    """Raise why ``t`` is no template of an image of an n-vertex disk under ``p``.
+
+    The checks are ``image_template``'s, read off the ints, and each
+    raises the class that the matching name-set image meets: an id past
+    the disk or a suffix past the count, and a pair in two vertices, raise
+    InvalidImageName; no (0, 0) MissingEpsilon; more vertices than the
+    bound ImageTooLarge; a label outside the alphabet RuleError.  A slot
+    out of range or paired with itself raises GraphError, and a slot used
+    twice PortConflict, as ``PortGraph`` does for such an edge.  The
+    template must also be in ``image_template``'s order, or RuleError.
+    """
+    heads, more, labels, ends = t
+    k = len(heads)
+    if k > p.bound:
+        raise ImageTooLarge(f"{k} vertices exceed the bound {p.bound}")
+    if len(labels) != k:
+        raise RuleError(f"template has {len(labels)} labels for {k} vertices")
+    pairs = list(heads)
+    for v, i, z in more:
+        if not 0 <= v < k:
+            raise RuleError(f"template pair {(i, z)!r} joins no vertex ({v})")
+        pairs.append((i, z))
+    s = p.suffix_count
+    for i, z in pairs:
+        if not (0 <= i < n and 0 <= z <= s):
+            raise InvalidImageName(f"element {(i, z)!r} not addressable from this disk")
+    if len(set(pairs)) != len(pairs):
+        twice = next(q for j, q in enumerate(pairs) if q in pairs[:j])
+        raise InvalidImageName(f"element {twice!r} appears in two image vertices")
+    for label in labels:
+        if label not in p.labels:
+            raise RuleError(f"image label {label!r} outside the rule alphabet")
+    if (0, 0) not in pairs:
+        raise MissingEpsilon("no image vertex claims the disk center")
+    lows, highs = ends[::2], ends[1::2]
+    if ends:
+        m = k * p.port_count
+        if len(lows) != len(highs) or min(ends) < 0 or max(ends) >= m:
+            raise GraphError(f"template slots {ends!r} are not pairs of the {m} slots "
+                             f"of its vertices")
+        if len(set(ends)) != len(ends):
+            if any(map(int.__eq__, lows, highs)):
+                raise GraphError("edge must join two distinct port slots")
+            raise PortConflict("a template slot is used by two edges")
+    # pairs and slots are distinct, so sorted means strictly ascending
+    if (heads != tuple(sorted(heads)) or not all(map(int.__lt__, lows, highs))
+            or lows != tuple(sorted(lows))
+            or more and (more != tuple(sorted(more))
+                         or any((i, z) < heads[v] for v, i, z in more))):
+        raise RuleError("template is not in image_template's order")
+
+
+# --- rules written over name sets --------------------------------------------
+# A rule's name-set form is ``fn(d)``: it reads a ``Disk`` and gives an image
+# over name sets, or None for a hole.  Every crossing between that form and
+# disk ids is here: ``image_template`` checks an image and gives its template,
+# ``named_image`` is its inverse on a checked template, ``_view`` (ids to
+# names) gives a rule written in disk ids its ``fn``, and ``_fn_template``
+# (names to ids) is the one adapter through which ``LocalRule._miss`` asks a
+# rule written over name sets.
+
 def image_template(p: RuleParams, d: Disk, img: PortGraph) -> tuple:
     """Check that ``img`` is an image of ``d`` under ``p`` and return its template.
 
@@ -146,62 +209,7 @@ def image_template(p: RuleParams, d: Disk, img: PortGraph) -> tuple:
             tuple(label for _, label, _ in blocks), tuple(chain.from_iterable(edges)))
 
 
-def check_template(p: RuleParams, n: int, t) -> None:
-    """Raise why ``t`` is no template of an image of an n-vertex disk under ``p``.
-
-    The checks are ``image_template``'s, read off the ints, and each
-    raises the class that the matching name-set image meets: an id past
-    the disk or a suffix past the count, and a pair in two vertices, raise
-    InvalidImageName; no (0, 0) MissingEpsilon; more vertices than the
-    bound ImageTooLarge; a label outside the alphabet RuleError.  A slot
-    out of range or paired with itself raises GraphError, and a slot used
-    twice PortConflict, as ``PortGraph`` does for such an edge.  The
-    template must also be in ``image_template``'s order, or RuleError.
-    """
-    heads, more, labels, ends = t
-    k = len(heads)
-    if k > p.bound:
-        raise ImageTooLarge(f"{k} vertices exceed the bound {p.bound}")
-    if len(labels) != k:
-        raise RuleError(f"template has {len(labels)} labels for {k} vertices")
-    pairs = list(heads)
-    for v, i, z in more:
-        if not 0 <= v < k:
-            raise RuleError(f"template pair {(i, z)!r} joins no vertex ({v})")
-        pairs.append((i, z))
-    s = p.suffix_count
-    for i, z in pairs:
-        if not (0 <= i < n and 0 <= z <= s):
-            raise InvalidImageName(f"element {(i, z)!r} not addressable from this disk")
-    if len(set(pairs)) != len(pairs):
-        twice = next(q for j, q in enumerate(pairs) if q in pairs[:j])
-        raise InvalidImageName(f"element {twice!r} appears in two image vertices")
-    for label in labels:
-        if label not in p.labels:
-            raise RuleError(f"image label {label!r} outside the rule alphabet")
-    if (0, 0) not in pairs:
-        raise MissingEpsilon("no image vertex claims the disk center")
-    lows, highs = ends[::2], ends[1::2]
-    if ends:
-        m = k * p.port_count
-        if len(lows) != len(highs) or min(ends) < 0 or max(ends) >= m:
-            raise GraphError(f"template slots {ends!r} are not pairs of the {m} slots "
-                             f"of its vertices")
-        if len(set(ends)) != len(ends):
-            if any(map(int.__eq__, lows, highs)):
-                raise GraphError("edge must join two distinct port slots")
-            raise PortConflict("a template slot is used by two edges")
-    # pairs and slots are distinct, so sorted means strictly ascending
-    if (heads != tuple(sorted(heads)) or not all(map(int.__lt__, lows, highs))
-            or lows != tuple(sorted(lows))
-            or more and (more != tuple(sorted(more))
-                         or any((i, z) < heads[v] for v, i, z in more))):
-        raise RuleError("template is not in image_template's order")
-
-
 def named_image(p: RuleParams, d: Disk, t) -> PortGraph:
-    """The name-set image of the template ``t`` on disk ``d``; the inverse of
-    ``image_template`` on a checked template."""
     heads, more, labels, ends = t
     words = d.graph.words
     sets = [[(words[i], z)] for i, z in heads]
@@ -216,8 +224,6 @@ def named_image(p: RuleParams, d: Disk, t) -> PortGraph:
 
 
 def _view(p: RuleParams, ids):
-    """The name-set function of a rule given in disk ids: each disk's image
-    is the view of its checked template."""
     def fn(d: Disk):
         g = d.graph
         t = ids(g.nbr, g.lab)
@@ -227,6 +233,15 @@ def _view(p: RuleParams, ids):
         return named_image(p, d, t)
 
     return fn
+
+
+def _fn_template(f, nbr, lab) -> tuple:
+    p = f.params
+    d = Disk(CayleyGraph._of(p.port_count, nbr, lab), p.radius)
+    img = f.fn(d)  # read now: a fn wrapped after construction is the one asked
+    if img is None:
+        raise PartialRuleHole(None, d)
+    return image_template(p, d, img)
 
 
 class LocalRule:
@@ -239,10 +254,11 @@ class LocalRule:
     gives a name-set image or None.  A rule given by ``ids`` has as
     ``fn`` the view of its templates, so every rule answers both ways.
 
-    Every image is checked once and kept as its template in one memo,
-    keyed by the disk's port array and labels, which holds no disk.  A
-    miss is the one path that fills it (``_miss``); a name-set ``fn``
-    reaches it through one adapter (``template``).  ``image`` builds the
+    ``_miss`` is the one place a rule is asked about a disk.  It checks
+    each image once, an ids answer with ``check_template`` and a
+    name-set image with ``image_template`` (through ``_fn_template``),
+    and keeps it as its template in one memo, keyed by the disk's port
+    array and labels, which holds no disk.  ``image`` builds the
     name-set view of a template on first ask and keeps it apart.
     ``registry_key`` names rules that cannot be tabulated within any
     reasonable budget so they can still be described and decoded.
@@ -261,47 +277,26 @@ class LocalRule:
         self._memo = {}   # (nbr, lab) of a disk -> its checked template
         self._views = {}  # (nbr, lab) of a disk -> the template's name-set image
 
-    @property
-    def radius(self) -> int:
-        return self.params.radius
-
-    def _disk(self, nbr, lab) -> Disk:
-        return Disk(CayleyGraph._of(self.params.port_count, nbr, lab), self.params.radius)
-
-    def template(self, nbr, lab, d: Disk = None):
-        """The rule's template of the disk (nbr, lab), unchecked and not
-        memoized, or None for a hole.
-
-        The adapter for a name-set ``fn``: build the ``Disk`` (unless the
-        caller has it, as ``d``), ask ``fn``, and template its image with
-        ``image_template``.
-        """
-        if self.ids is not None:
-            return self.ids(nbr, lab)
-        if d is None:
-            d = self._disk(nbr, lab)
-        img = self.fn(d)
-        return None if img is None else image_template(self.params, d, img)
-
-    def _miss(self, nbr, lab, d: Disk = None) -> tuple:
-        """Check, memoize and return the template of a disk not seen before.
-
-        A hole raises PartialRuleHole carrying the disk, built here if
-        the caller has none.
-        """
+    def _miss(self, nbr, lab) -> tuple:
+        """Ask the rule about a disk not seen before; memoize and return
+        the checked template.  A hole raises PartialRuleHole carrying the
+        disk: the adapter's, or one built here."""
         p = self.params
         for lbl in lab:
             if lbl not in p.labels:
                 raise RuleError(f"disk label {lbl!r} outside the rule alphabet")
         try:
-            t = self.template(nbr, lab, d)
-            if t is None:
-                raise PartialRuleHole(None, d)
+            if self.ids is None:
+                t = _fn_template(self, nbr, lab)
+            else:
+                t = self.ids(nbr, lab)
+                if t is None:
+                    raise PartialRuleHole(None, None)
+                check_template(p, len(lab), t)
         except PartialRuleHole as hole:
             if hole.disk is None:
-                hole.disk = self._disk(nbr, lab) if d is None else d
+                hole.disk = Disk(CayleyGraph._of(p.port_count, nbr, lab), p.radius)
             raise
-        check_template(p, len(lab), t)
         self._memo[nbr, lab] = t
         return t
 
@@ -315,9 +310,7 @@ class LocalRule:
         key = (g.nbr, g.lab)
         view = self._views.get(key)
         if view is None:
-            t = self._memo.get(key)
-            if t is None:
-                t = self._miss(g.nbr, g.lab, d)
+            t = self._memo.get(key) or self._miss(*key)
             view = self._views[key] = named_image(p, d, t)
         return view
 
@@ -444,12 +437,12 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
     actually overlap, probed inside ambient disks of radius r + 1.  Far
     condition: images of vertices up to distance 2r + 2 must agree,
     probed inside ambient disks of radius 3r + 2 (beyond that range the
-    images cannot share names).  Image size bounds are checked on the
-    way.  Every ambient disk is enumerated when the catalogs fit
-    ``budget``; past it, ``samples`` random ambients are drawn instead
-    (RuleError if that is fewer than one), or with ``exhaustive=True``
-    BudgetExceeded is raised.  Not a proof in sampled mode, but wrong
-    rules rarely survive it.
+    images cannot share names).  Each image is checked on the way: a
+    bad one is a witness and clears ``bound_ok``.  Every ambient disk is
+    enumerated when the catalogs fit ``budget``; past it, ``samples``
+    random ambients are drawn instead (RuleError if that is fewer than
+    one), or with ``exhaustive=True`` BudgetExceeded is raised.  Not a
+    proof in sampled mode, but wrong rules rarely survive it.
     """
     from .codec import BudgetExceeded, enumerate_disks
 
@@ -485,12 +478,12 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
         checked += 1
         try:
             _check_ambient(f, ambient, near, witnesses)
-        except (ImageTooLarge, MissingEpsilon, InvalidImageName) as err:
-            bound_ok = False
-            witnesses.append(f"bad image on ambient {ambient!r}: {err}")
         except PartialRuleHole as hole:
             witnesses.append(f"rule is not total: no image at {hole.vertex!r} "
                              f"in ambient {ambient!r}")
+        except RuleError as err:
+            bound_ok = False
+            witnesses.append(f"bad image on ambient {ambient!r}: {err}")
     return ValidationReport(ok=not witnesses, bound_ok=bound_ok,
                             coverage="exhaustive" if exhaustive else "sampled",
                             checked=checked, witnesses=tuple(witnesses))
@@ -499,9 +492,9 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
 def continuity_modulus(f: LocalRule, r: int) -> int:
     """Input agreement radius that pins down the output disk of radius r.
 
-    One step reads radius ``f.radius`` around each vertex, and the glue
-    can pull names from one vertex beyond the output disk, hence the
-    extra 1.
+    One step reads radius ``f.params.radius`` around each vertex, and
+    the glue can pull names from one vertex beyond the output disk,
+    hence the extra 1.
     """
     return r + f.params.radius + 1
 

@@ -80,6 +80,16 @@ def test_read_code_rejects_bad_headers():
         read_code("ports=3 labels=0,0\n$0;")
 
 
+def test_an_alphabet_that_repeats_a_label_is_refused_both_ways():
+    x = cycle_graph(3)
+    with pytest.raises(ParseError) as wrote:
+        encode_graph(x, alphabet=(0, 0))
+    with pytest.raises(ParseError) as read:
+        read_code(f"ports={x.degree} labels=0,0\n{encode_graph(x).text}\n")
+    assert type(wrote.value) is type(read.value) is ParseError
+    assert str(wrote.value) == str(read.value) == "alphabet repeats a label"
+
+
 @pytest.mark.parametrize("degree,size,alphabet", [
     (1, 2, (0,)), (2, 10, (0, 1)), (3, 18, (0, 1, 2)), (4, 30, (0, 1)),
 ])

@@ -575,7 +575,7 @@ def _mutant_corpus():
     ]
     rng = random.Random(5)
     for rule, kw in cases:
-        reach = 2 * rule.radius + 2
+        reach = 2 * rule.params.radius + 2
         for seed in range(4):
             x = random_graph(seed, size=7, **kw)
             centres = sorted(x.vertices, key=name_key)

@@ -139,9 +139,9 @@ def test_the_universal_rule_looks_up_stamped_disks_only(monkeypatch):
     seen = []
     miss = LocalRule._miss
 
-    def recorded(rule, nbr, lab, d=None):
+    def recorded(rule, nbr, lab):
         seen.append((rule, nbr, lab))
-        return miss(rule, nbr, lab, d)
+        return miss(rule, nbr, lab)
 
     monkeypatch.setattr(LocalRule, "_miss", recorded)
     assert check_intrinsic_simulation(f, cycle_graph(6, label=[1, 0, 0, 1, 0, 0]), 2).ok
@@ -160,6 +160,19 @@ def test_a_hole_of_the_hosted_rule_is_a_hole_of_the_universal_rule():
     with pytest.raises(PartialRuleHole) as info:
         univ.image(disk(x, 0))
     assert info.value.disk == disk(x, 0)  # the stamped disk the universal rule was asked
+
+
+def test_every_rule_a_description_decodes_to_answers_in_disk_ids():
+    # the universal rule asks each hosted rule through ``ids``
+    from cgd.codec import decode_rule
+    from cgd.library import RULE_REGISTRY
+
+    assert all(build().ids is not None for build in RULE_REGISTRY.values())
+    dense = [IDD2, encode_rule(xor_label_rule(2))]
+    keyed = [RuleDescription(inflating_grid_rule().params, registry_key="inflating-grid"),
+             RuleDescription(identity_rule(3, (0, 1)).params, registry_key="identity")]
+    assert all(desc.entries is not None for desc in dense)
+    assert all(decode_rule(desc).ids is not None for desc in dense + keyed)
 
 
 def test_simulation_flags_the_first_bad_step():

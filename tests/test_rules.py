@@ -245,6 +245,58 @@ def test_partial_hole_carries_the_vertex():
     assert info.value.disk.radius == 1
 
 
+def test_a_name_set_hole_carries_the_disk_asked(monkeypatch):
+    p = RuleParams(2, (0, 1), radius=1, bound=3)
+    base = identity_rule(2, (0, 1))
+    partial = LocalRule(p, fn=lambda d: None if d.graph.label(EPSILON) else base.fn(d))
+    asked = disk(cycle_graph(4, label=1), 1)
+    with pytest.raises(PartialRuleHole) as info:
+        partial.image(asked)
+    assert info.value.disk == asked
+    x = cycle_graph(5, label=[0, 1, 0, 0, 0])
+    with pytest.raises(PartialRuleHole) as info:
+        apply_rule(partial, x)
+    assert info.value.disk == disk_around(x, info.value.vertex, 1)
+    holes = []
+    image = LocalRule.image
+
+    def recorded(rule, d):
+        try:
+            return image(rule, d)
+        except PartialRuleHole as hole:
+            holes.append((hole, d))
+            raise
+
+    monkeypatch.setattr(LocalRule, "image", recorded)
+    report = validate_local_rule(partial, samples=20, seed=0)
+    assert len(holes) == len(report.witnesses) > 0
+    assert all(w.startswith("rule is not total") for w in report.witnesses)
+    assert all(hole.disk == d for hole, d in holes)
+
+
+def test_a_fn_replaced_after_construction_is_the_one_asked():
+    base = identity_rule(2, (0, 1))
+    rule = LocalRule(base.params, fn=lambda d: None)
+    rule.fn = base.fn
+    x = cycle_graph(6, label=[1, 0, 0, 1, 1, 0])
+    assert apply_rule(rule, x) == x
+    assert rule.image(disk(x, 1)) == base.image(disk(x, 1))
+
+
+def test_each_image_is_checked_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr("cgd.rules.check_template",
+                        lambda *args: checked.append(args) or check_template(*args))
+    x = cycle_graph(6, label=[1, 0, 0, 1, 1, 0])
+    disks = {disk_around(x, w, 1) for w in x.words}
+    stubless = _identity_without_stubs()
+    for d in disks:
+        stubless.image(d)
+    assert checked == []  # image_template alone checks a name-set image
+    apply_rule(identity_rule(2, (0, 1)), x)
+    assert len(checked) == len(disks)
+
+
 def test_apply_rule_rejects_port_mismatch():
     with pytest.raises(RuleError):
         apply_rule(xor_label_rule(), sample_graph())
@@ -363,6 +415,30 @@ def test_validation_reports_a_partial_rule():
     assert not report.ok and report.witnesses
     for w in report.witnesses:  # each hole names its vertex of the ambient
         assert re.match(r"rule is not total: no image at \(.*\) in ambient <", w), w
+
+
+def test_validation_reports_every_image_the_check_refuses():
+    # a plain RuleError, here a label outside the alphabet, is a bad image too
+    base = identity_rule(2, (0, 1))
+
+    def ids(nbr, lab):
+        heads, more, labels, ends = base.ids(nbr, lab)
+        return heads, more, (7,) * len(labels), ends
+
+    def fn(d):
+        img = base.fn(d)
+        return PortGraph(img.degree, img.vertices, img.edges, dict.fromkeys(img.vertices, 7))
+
+    for rule in (LocalRule(base.params, ids=ids), LocalRule(base.params, fn=fn)):
+        report = validate_local_rule(rule, samples=20, seed=0)
+        assert not report.ok and not report.bound_ok and report.witnesses
+        for w in report.witnesses:
+            assert re.fullmatch(r"bad image on ambient <.*>: "
+                                r"image label 7 outside the rule alphabet", w), w
+    # a slot fault is the template's own GraphError, as PortGraph raises it for fn
+    slots = LocalRule(base.params, ids=lambda nbr, lab: (((0, 0),), (), lab[:1], (0, 99)))
+    with pytest.raises(GraphError):
+        validate_local_rule(slots, samples=5, seed=0)
 
 
 def test_stubless_rule_actually_shatters():

@@ -77,7 +77,7 @@ def _inputs(rule):
 
 
 def _distinct_disks(rule, x):
-    return len({disk_around(x, w, rule.radius) for w in x.words})
+    return len({disk_around(x, w, rule.params.radius) for w in x.words})
 
 
 LIBRARY = pytest.mark.parametrize(
@@ -95,6 +95,21 @@ def test_a_warm_step_builds_the_output_only_and_no_word(make, graphs_built):
         apply_rule(f, x)
         assert len(graphs_built) == 1
         assert x._views._words is None  # neither step named the input by words
+
+
+def test_ids_rules_build_no_word_view(monkeypatch):
+    desc = encode_rule(xor_label_rule(2))
+    catalogs = {}
+    monkeypatch.setattr("cgd.codec._CATALOGS", catalogs)  # decode walks a fresh catalog
+    decoded = decode_rule(desc)
+    univ = universal_rule(desc.params, (desc,))
+    for f, lift in [(identity_rule(2, (0, 1)), None), (xor_label_rule(2), None),
+                    (decoded, None), (univ, lambda x: label_with(x, desc))]:
+        for x in _graphs(5, 2, (0, 1), count=4, size=20):
+            x = lift(x) if lift else x
+            y = apply_rule(f, apply_rule(f, x))
+            assert x._views._words is None and y._views._words is None
+    assert all(key.graph._views._words is None for key in catalogs[2, (0, 1), 2][0])
 
 
 def _plain(rule):
@@ -141,9 +156,9 @@ def test_the_rule_is_asked_once_per_distinct_disk(monkeypatch):
     asked = []
     miss = LocalRule._miss
 
-    def recorded(rule, nbr, lab, d=None):
+    def recorded(rule, nbr, lab):
         asked.append((nbr, lab))
-        return miss(rule, nbr, lab, d)
+        return miss(rule, nbr, lab)
 
     monkeypatch.setattr(LocalRule, "_miss", recorded)
     for x in _inputs(xor_label_rule(2)):
@@ -185,7 +200,7 @@ def _assert_every_entry_holds_its_template(f):
     assert f._memo
     for (nbr, lab), template in f._memo.items():
         dk = Disk(CayleyGraph._of(p.port_count, nbr, lab), p.radius)
-        assert template == image_template(p, dk, f.image(dk)) == f.template(nbr, lab)
+        assert template == image_template(p, dk, f.image(dk)) == f.ids(nbr, lab)
 
 
 @LIBRARY
