@@ -266,10 +266,6 @@ class CayleyGraph(PortGraph):
         return x
 
     @property
-    def pointer(self) -> Word:
-        return EPSILON
-
-    @property
     def words(self) -> tuple:
         """The least word of each id: vertex i is named ``words[i]``."""
         return self._views.words

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
+from .corpus import random_port_graph
 from .graph import (
     EPSILON,
     CayleyGraph,
@@ -30,6 +31,7 @@ from .graph import (
     consistent,
     disk,
     disk_around,
+    eccentricity,
     from_port_array,
     glue_all,
     walk,
@@ -223,6 +225,9 @@ def named_image(p: RuleParams, d: Disk, t) -> PortGraph:
     return PortGraph(deg, names, edges, dict(zip(names, labels)))
 
 
+# ``fn`` is a closure over ``p`` and ``ids``, not a bound method of the rule:
+# a rule holding its own method is a reference cycle, so a dropped rule's
+# memos would stay alive until the cycle collector runs.
 def _view(p: RuleParams, ids):
     def fn(d: Disk):
         g = d.graph
@@ -411,13 +416,12 @@ class ValidationReport:
         return self.ok
 
 
-def _check_ambient(f: LocalRule, ambient: CayleyGraph, near_only: bool, witnesses):
-    """Compare the center's image with each image within reach (canonical
-    ambient: a name's length is its distance from the center)."""
-    reach = 1 if near_only else 2 * f.params.radius + 2
+def _check_ambient(f: LocalRule, ambient: CayleyGraph, radius: int, witnesses):
+    """Compare the center's image with each image whose disk fits in the
+    ambient (canonical ambient: a name's length is its distance from the center)."""
     center = _normalized_image(f, ambient, EPSILON)
     for u in ambient.words[1:]:  # in name_key order, so by distance from the center
-        if len(u) > reach:
+        if len(u) > radius - f.params.radius:
             break
         other = _normalized_image(f, ambient, u)
         verdict = consistent(center, other)
@@ -438,11 +442,12 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
     condition: images of vertices up to distance 2r + 2 must agree,
     probed inside ambient disks of radius 3r + 2 (beyond that range the
     images cannot share names).  Each image is checked on the way: a
-    bad one is a witness and clears ``bound_ok``.  Every ambient disk is
-    enumerated when the catalogs fit ``budget``; past it, ``samples``
-    random ambients are drawn instead (RuleError if that is fewer than
-    one), or with ``exhaustive=True`` BudgetExceeded is raised.  Not a
-    proof in sampled mode, but wrong rules rarely survive it.
+    bad one is a witness, and one past the bound clears ``bound_ok``.
+    The budget is decided once, on the radius-(3r+2) catalog: if it
+    fits, every ambient is enumerated, the near ones being its disks of
+    eccentricity at most r + 1; if not, ``samples`` random ambients are
+    drawn (RuleError if fewer than one), or ``exhaustive=True`` raises
+    BudgetExceeded.  Sampling is no proof, but wrong rules rarely survive it.
     """
     from .codec import BudgetExceeded, enumerate_disks
 
@@ -450,43 +455,37 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
     r = p.radius
     witnesses = []
     bound_ok = True
-    checked = 0
     try:
-        ambients = [(d.graph, near)
-                    for near, radius in ((True, r + 1), (False, 3 * r + 2))
-                    for d in enumerate_disks(p.port_count, p.labels, radius,
-                                             budget=budget)]
+        far = enumerate_disks(p.port_count, p.labels, 3 * r + 2, budget=budget)
+        ambients = [(d.graph, r + 1) for d in far if eccentricity(d.graph) <= r + 1]
+        ambients += [(d.graph, 3 * r + 2) for d in far]
     except BudgetExceeded:
         if exhaustive:
             raise
         ambients = None
     exhaustive = ambients is not None
     if not exhaustive:
-        from .corpus import random_graph
-
         if samples < 1:
             raise RuleError(f"cannot check a rule on {samples} sampled ambients")
         rng = random.Random(seed)
         ambients = []
         for _ in range(samples):
-            near = rng.random() < 0.5
-            radius = r + 1 if near else 3 * r + 2
+            radius = r + 1 if rng.random() < 0.5 else 3 * r + 2
             size = rng.randint(1, 2 * (radius + 1) * max(2, p.port_count))
-            z = random_graph(rng, degree=p.port_count, size=size, alphabet=p.labels)
-            ambients.append((disk(z, radius).graph, near))
-    for ambient, near in ambients:
-        checked += 1
+            g, root = random_port_graph(rng, degree=p.port_count, size=size, alphabet=p.labels)
+            ambients.append((disk_around(g, root, radius).graph, radius))
+    for ambient, radius in ambients:
         try:
-            _check_ambient(f, ambient, near, witnesses)
+            _check_ambient(f, ambient, radius, witnesses)
         except PartialRuleHole as hole:
             witnesses.append(f"rule is not total: no image at {hole.vertex!r} "
                              f"in ambient {ambient!r}")
         except RuleError as err:
-            bound_ok = False
+            bound_ok &= not isinstance(err, ImageTooLarge)
             witnesses.append(f"bad image on ambient {ambient!r}: {err}")
     return ValidationReport(ok=not witnesses, bound_ok=bound_ok,
                             coverage="exhaustive" if exhaustive else "sampled",
-                            checked=checked, witnesses=tuple(witnesses))
+                            checked=len(ambients), witnesses=tuple(witnesses))
 
 
 def continuity_modulus(f: LocalRule, r: int) -> int:

@@ -77,12 +77,27 @@ builds the name-set image of a rank.  The library's rules answer in disk
 ids, and its ``unrank_image`` returns the template; both must give the
 same template, up to the order of the edges in ``ends``.
 
+``_check_ambient`` and ``validate_local_rule`` are the validator of
+``cgd.rules`` as it stood at commit 0826830: exhaustive mode enumerates
+the radius-(r+1) and the radius-(3r+2) disk catalogs one after the
+other, and sampled mode canonicalizes each random graph
+(``random_graph``) before cutting its ambient disk (``disk``).  Here
+they call the library's ``_normalized_image``, ``consistent``,
+``enumerate_disks``, ``random_graph`` and ``disk``.  The library
+enumerates one catalog and cuts each sampled ambient with one search;
+both must give equal reports, or raise the same exception with the same
+text.  Any refused image clears ``bound_ok`` here, and only an image
+past the bound in the library.
+
 Do not edit these copies to follow the library.
 """
+import random
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import cgd.graph
+import cgd.rules
 from cgd.codec import (
     BadIndex,
     BudgetExceeded,
@@ -90,8 +105,10 @@ from cgd.codec import (
     GraphCode,
     ParseError,
     PortReuse,
+    enumerate_disks,
     is_pair,
 )
+from cgd.corpus import random_graph
 from cgd.graph import (
     EPS_ELEM,
     EPSILON,
@@ -113,6 +130,7 @@ from cgd.rules import (
     PartialRuleHole,
     RuleError,
     RuleParams,
+    ValidationReport,
 )
 
 
@@ -1135,3 +1153,66 @@ def unrank_image(params: RuleParams, key: Disk, rank: int) -> PortGraph:
         bb, pb = divmod(b, d)
         edges.append(((names[ba], pa + 1), (names[bb], pb + 1)))
     return PortGraph(d, names, edges, labels)
+
+
+def _check_ambient(f: LocalRule, ambient: CayleyGraph, near_only: bool, witnesses):
+    """Compare the center's image with each image within reach (canonical
+    ambient: a name's length is its distance from the center)."""
+    reach = 1 if near_only else 2 * f.params.radius + 2
+    center = cgd.rules._normalized_image(f, ambient, EPSILON)
+    for u in ambient.words[1:]:  # in name_key order, so by distance from the center
+        if len(u) > reach:
+            break
+        other = cgd.rules._normalized_image(f, ambient, u)
+        verdict = cgd.graph.consistent(center, other)
+        if not verdict.ok:
+            witnesses.append(f"images at {EPSILON!r} and {u!r} disagree: "
+                             f"{verdict.witness} (ambient {ambient!r})")
+        elif len(u) == 1 and not verdict.nonempty:
+            witnesses.append(f"images of adjacent vertices {EPSILON!r} and {u!r} "
+                             f"do not even touch (ambient {ambient!r})")
+
+
+def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
+                        budget=10_000, seed=0) -> ValidationReport:
+    """Check the consistency conditions that make a rule gluable, on the
+    radius-(r+1) and the radius-(3r+2) catalogs, or on sampled ambients."""
+    p = f.params
+    r = p.radius
+    witnesses = []
+    bound_ok = True
+    checked = 0
+    try:
+        ambients = [(d.graph, near)
+                    for near, radius in ((True, r + 1), (False, 3 * r + 2))
+                    for d in enumerate_disks(p.port_count, p.labels, radius,
+                                             budget=budget)]
+    except BudgetExceeded:
+        if exhaustive:
+            raise
+        ambients = None
+    exhaustive = ambients is not None
+    if not exhaustive:
+        if samples < 1:
+            raise RuleError(f"cannot check a rule on {samples} sampled ambients")
+        rng = random.Random(seed)
+        ambients = []
+        for _ in range(samples):
+            near = rng.random() < 0.5
+            radius = r + 1 if near else 3 * r + 2
+            size = rng.randint(1, 2 * (radius + 1) * max(2, p.port_count))
+            z = random_graph(rng, degree=p.port_count, size=size, alphabet=p.labels)
+            ambients.append((cgd.graph.disk(z, radius).graph, near))
+    for ambient, near in ambients:
+        checked += 1
+        try:
+            _check_ambient(f, ambient, near, witnesses)
+        except PartialRuleHole as hole:
+            witnesses.append(f"rule is not total: no image at {hole.vertex!r} "
+                             f"in ambient {ambient!r}")
+        except RuleError as err:
+            bound_ok = False
+            witnesses.append(f"bad image on ambient {ambient!r}: {err}")
+    return ValidationReport(ok=not witnesses, bound_ok=bound_ok,
+                            coverage="exhaustive" if exhaustive else "sampled",
+                            checked=checked, witnesses=tuple(witnesses))

@@ -188,7 +188,7 @@ def test_image_name_sets_must_be_disjoint():
     with pytest.raises(InvalidImageName, match="two image vertices"):
         rank_image(rule.params, d, rule.fn(d))
     report = validate_local_rule(rule, samples=5, seed=0)
-    assert not report.ok and not report.bound_ok
+    assert not report.ok and report.bound_ok
     assert all("two image vertices" in w for w in report.witnesses)
 
 
@@ -373,9 +373,9 @@ def test_sampling_nothing_is_refused(samples):
     assert validate_local_rule(identity_rule(1, (0,)), samples=samples).checked == 4
 
 
-def _identity_with_blank_stubs():
+def _identity_with_blank_stubs(ports=2):
     """Looks like the identity rule but forgets neighbour labels."""
-    base = identity_rule(2, (0, 1))
+    base = identity_rule(ports, (0, 1))
 
     def fn(d):
         img = base.fn(d)
@@ -407,38 +407,119 @@ def test_validation_catches_images_that_never_touch():
     assert any("touch" in w for w in report.witnesses)
 
 
-def test_validation_reports_a_partial_rule():
+def _partial_identity():
     base = identity_rule(2, (0, 1))
-    partial = LocalRule(base.params,  # no image where the centre is labelled 1
-                        fn=lambda d: None if d.graph.label(EPSILON) else base.fn(d))
-    report = validate_local_rule(partial, samples=20, seed=0)
+    return LocalRule(base.params,  # no image where the centre is labelled 1
+                     fn=lambda d: None if d.graph.label(EPSILON) else base.fn(d))
+
+
+def test_validation_reports_a_partial_rule():
+    report = validate_local_rule(_partial_identity(), samples=20, seed=0)
     assert not report.ok and report.witnesses
     for w in report.witnesses:  # each hole names its vertex of the ambient
         assert re.match(r"rule is not total: no image at \(.*\) in ambient <", w), w
 
 
-def test_validation_reports_every_image_the_check_refuses():
-    # a plain RuleError, here a label outside the alphabet, is a bad image too
+def _identity_labelled_7():
+    """The identity rule with every image vertex labelled 7, outside its alphabet."""
     base = identity_rule(2, (0, 1))
 
     def ids(nbr, lab):
         heads, more, labels, ends = base.ids(nbr, lab)
         return heads, more, (7,) * len(labels), ends
 
+    return LocalRule(base.params, ids=ids)
+
+
+def test_validation_reports_every_image_the_check_refuses():
+    # a plain RuleError, here a label outside the alphabet, is a bad image too,
+    # but only an image past the bound clears bound_ok
+    base = identity_rule(2, (0, 1))
+
     def fn(d):
         img = base.fn(d)
         return PortGraph(img.degree, img.vertices, img.edges, dict.fromkeys(img.vertices, 7))
 
-    for rule in (LocalRule(base.params, ids=ids), LocalRule(base.params, fn=fn)):
+    for rule in (_identity_labelled_7(), LocalRule(base.params, fn=fn)):
         report = validate_local_rule(rule, samples=20, seed=0)
-        assert not report.ok and not report.bound_ok and report.witnesses
+        assert not report.ok and report.bound_ok and report.witnesses
         for w in report.witnesses:
             assert re.fullmatch(r"bad image on ambient <.*>: "
                                 r"image label 7 outside the rule alphabet", w), w
+    tight = LocalRule(replace(base.params, bound=1), ids=base.ids)
+    report = validate_local_rule(tight, samples=20, seed=0)
+    assert not report.ok and not report.bound_ok and report.witnesses
+    for w in report.witnesses:
+        assert re.fullmatch(r"bad image on ambient <.*>: \d+ vertices exceed the bound 1", w), w
     # a slot fault is the template's own GraphError, as PortGraph raises it for fn
     slots = LocalRule(base.params, ids=lambda nbr, lab: (((0, 0),), (), lab[:1], (0, 99)))
     with pytest.raises(GraphError):
         validate_local_rule(slots, samples=5, seed=0)
+
+
+def _assert_reports_agree(live, frozen):
+    if any(w.startswith("bad image") for w in frozen.witnesses):
+        # the frozen validator clears bound_ok on any refused image
+        live = replace(live, bound_ok=frozen.bound_ok)
+    assert live == frozen
+
+
+@pytest.mark.parametrize("rule", [
+    identity_rule(1, (0,)),
+    identity_rule(1, (0, 1)),
+    _identity_with_blank_stubs(ports=1),
+    xor_label_rule(1),
+    # a 1-port disk has at most two vertices, so only here is the near slice
+    # short of the whole far catalog
+    LocalRule(RuleParams(2, (0,), radius=0, bound=1),  # images that never touch
+              ids=lambda nbr, lab: (((0, 0),), (), lab[:1], ())),
+], ids=["identity-1-{0}", "identity-1-{0,1}", "forgetful-1", "xor-1", "stubless-r0"])
+def test_exhaustive_validation_agrees_with_the_frozen_validator(rule):
+    live = validate_local_rule(rule, exhaustive=True)
+    assert live.coverage == "exhaustive"
+    _assert_reports_agree(live, oracle.validate_local_rule(rule, exhaustive=True))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make", [
+    lambda: identity_rule(2, (0, 1)),
+    lambda: xor_label_rule(2),
+    inflating_grid_rule,
+    _identity_with_blank_stubs,
+    _partial_identity,
+    _identity_labelled_7,
+], ids=["identity", "xor", "inflating-grid", "forgetful", "partial", "label-7"])
+def test_sampled_validation_agrees_with_the_frozen_validator(make, seed):
+    live = validate_local_rule(make(), samples=60, seed=seed)
+    assert live.coverage == "sampled"
+    _assert_reports_agree(live, oracle.validate_local_rule(make(), samples=60, seed=seed))
+
+
+@pytest.mark.parametrize("budget", [10, 10_000])
+def test_a_far_catalog_past_the_budget_trips_as_in_the_frozen_validator(monkeypatch, budget):
+    # identity(2, {0, 1}) has 1,564 near ambients and over 10,000 far ones, so
+    # the frozen validator trips on its near walk at 10 and its far walk at 10,000
+    raised = []
+    for validate in (validate_local_rule, oracle.validate_local_rule):
+        monkeypatch.setattr("cgd.codec._CATALOGS", {})  # walk afresh
+        with pytest.raises(BudgetExceeded) as info:
+            validate(identity_rule(2, (0, 1)), exhaustive=True, budget=budget)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+def test_validation_walks_only_the_far_catalog(monkeypatch):
+    catalogs = {}
+    monkeypatch.setattr("cgd.codec._CATALOGS", catalogs)
+    assert validate_local_rule(identity_rule(2, (0, 1)), samples=5).coverage == "sampled"
+    assert list(catalogs) == [(2, (0, 1), 5)]
+
+
+def test_sampled_ambients_are_cut_by_one_search(monkeypatch):
+    canonicalized = []
+    monkeypatch.setattr("cgd.corpus.canonicalize", lambda *args: canonicalized.append(args))
+    assert validate_local_rule(identity_rule(2, (0, 1)), budget=10, samples=20).ok
+    assert canonicalized == []
 
 
 def test_stubless_rule_actually_shatters():
