@@ -177,6 +177,9 @@ def encode_graph(x: CayleyGraph, alphabet=None) -> GraphCode:
                          f"canonicalize it first")
     d, nbr, lab = x.degree, x.nbr, x.lab
     if alphabet is None:
+        if not all(isinstance(s, int) for s in lab):
+            raise ParseError("graph labels are not all ints: pass an alphabet, "
+                             "or unstamp the graph first")
         alphabet = tuple(range(max(lab, default=0) + 1))
     label_token = {s: ("lbl", s) for s in alphabet}
     if len(label_token) != len(alphabet):
@@ -601,9 +604,9 @@ class RuleDescription:
     """A finite, comparable stand-in for a rule.
 
     Either dense (one image rank or None per catalog disk, in catalog
-    order) or a registry key for rules whose catalog exceeds every
-    budget.  Equality and hashing go through a digest so descriptions
-    can sit inside labels of big graphs cheaply.
+    order, and the hash of that catalog) or a registry key for rules
+    whose catalog exceeds every budget.  Equality and hashing go through
+    a digest so descriptions can sit inside labels of big graphs cheaply.
     """
 
     __slots__ = ("params", "entries", "registry_key", "catalog_hash", "_digest", "_hash")
@@ -612,6 +615,8 @@ class RuleDescription:
                  catalog_hash=None):
         if (entries is None) == (registry_key is None):
             raise RuleError("a description is dense or keyed, never both or neither")
+        if entries is not None and catalog_hash is None:
+            raise RuleError("a dense description needs the hash of its disk catalog")
         self.params = params
         self.entries = tuple(entries) if entries is not None else None
         self.registry_key = registry_key
@@ -687,7 +692,7 @@ def decode_rule(desc: RuleDescription) -> LocalRule:
         disks, digest = _disk_catalog(p.port_count, p.labels, p.radius, n)
     except BudgetExceeded:
         raise RuleError(f"{n} entries for more than {n} catalog disks") from None
-    if desc.catalog_hash is not None and desc.catalog_hash != digest:
+    if desc.catalog_hash != digest:
         raise RuleError("description was made against a different disk catalog")
     if n != len(disks):
         raise RuleError(f"{n} entries for {len(disks)} catalog disks")
@@ -727,6 +732,8 @@ def read_rule(text: str) -> RuleDescription:
     if not m:
         raise ParseError(f"bad rule header {lines[0]!r}")
     labels = tuple(int(s) for s in m.group(2).split(","))
+    if len(set(labels)) != len(labels):
+        raise ParseError("alphabet repeats a label")
     suffixes = int(m.group(5)) if m.group(5) else None
     params = RuleParams(int(m.group(1)), labels, int(m.group(3)),
                         int(m.group(4)), suffixes)

@@ -12,7 +12,9 @@ stamped as (label, description).
 Machine ports: 1 tape, 2 description holder, 3 build arm, 4 backtrack
 arm, 5 stack top, 6 stack reader, 7 buffer.  Built vertices use their
 natural ports 1..d plus two hook ports d+1, d+2 that the arms grab;
-the hooks are always free again by the time the machine leaves.
+the hooks are always free again by the time the machine leaves.  A
+step reads the machine's seven ports once, before it edits anything,
+and reaches every gear vertex through them, never by its name.
 
 The stack holds one cell per pair walked, plus a mark per vertex
 built.  A backedge with k bars runs the backtrack arm backwards
@@ -180,6 +182,7 @@ def check_intrinsic_simulation(f: LocalRule, x: CayleyGraph, steps: int,
 # --- the machine itself ------------------------------------------------------
 
 PLACEHOLDER = ("P",)
+_NONE = (None,)  # ports.get(slot, _NONE)[0] is None for a free slot
 _ABSENT = object()  # the old value, in an undo record, of a key the edit created
 
 
@@ -362,18 +365,21 @@ def machine_step(w: MachineWorld) -> MachineWorld:
     d = w.port_count
     h1, h2 = d + 1, d + 2
     _, phase, arg = labels[M]
+    # the vertex at each machine port, or None: the tape head, the holder,
+    # the arms' vertices, the stack top, the reader's vertex and the buffer
+    g = ports.get
+    head, hold, v3, v4, top, reader, buf = (
+        g((M, 1), _NONE)[0], g((M, 2), _NONE)[0], g((M, 3), _NONE)[0], g((M, 4), _NONE)[0],
+        g((M, 5), _NONE)[0], g((M, 6), _NONE)[0], g((M, 7), _NONE)[0])
+    lbl = ("tok", None) if head is None else labels[head]
+    if lbl[0] != "tok":
+        raise MalformedWorld("tape port leads to something that is not a token")
+    tok = lbl[1]
 
-    def token_at(slot):
-        lbl = labels[slot[0]]
-        if lbl[0] != "tok":
-            raise MalformedWorld("tape port leads to something that is not a token")
-        return lbl[1]
-
-    def consume(slot):
+    def consume():
         """Delete the head token and pull the tape closer."""
-        t = slot[0]
-        nxt = ports.get((t, 2))
-        table.del_vertex(t)
+        nxt = ports.get((head, 2))
+        table.del_vertex(head)
         if nxt:
             table.add_edge((M, 1), (nxt[0], 1))
 
@@ -382,17 +388,17 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         return w._hand_on(MachineWorld(M, root, d, fresh, w.steps + 1, table))
 
     def push_cells(payloads, base):
-        """Stack new cells above the current top, bottom first."""
-        top = ports.get((M, 5))
-        if top is not None:
-            table.del_edge((M, 5), top)
+        """Stack new cells above the stack top, bottom first."""
+        last = top
+        if last is not None:
+            table.del_edge((M, 5), (last, 1))
         for k, payload in enumerate(payloads):
             cid = f"c{base + k}"
             table.add_vertex(cid, ("cell", payload))
-            if top is not None:
-                table.add_edge((cid, 2), top)
-            top = (cid, 1)
-        table.add_edge((M, 5), top)
+            if last is not None:
+                table.add_edge((cid, 2), (last, 1))
+            last = cid
+        table.add_edge((M, 5), (last, 1))
 
     def swing(arm, port, old, new):
         """Move an arm's grip from vertex old to vertex new."""
@@ -400,36 +406,31 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             table.del_edge((M, arm), (old, port))
             table.add_edge((M, arm), (new, port))
 
-    head = ports.get((M, 1))
     try:
         if phase == "read-sep":
             if head is None:
-                a3 = ports.get((M, 3))
-                if a3 is not None and labels[a3[0]] == PLACEHOLDER:
+                if v3 is not None and labels[v3] == PLACEHOLDER:
                     raise MalformedWorld("a fresh vertex never got its word")
                 return moved("finish")
-            tok = token_at(head)
             if tok != "$":
                 raise MalformedWorld(f"expected '$' on the tape, found {tok!r}")
-            consume(head)
+            consume()
             return moved("read-label")
 
         if phase == "read-label":
             if head is None:
                 raise MalformedWorld("tape ended inside a word")
-            tok = token_at(head)
             if not (isinstance(tok, tuple) and tok[0] == "lbl"):
                 raise MalformedWorld(f"expected a label, found {tok!r}")
-            desc = labels[ports[M, 2][0]][1]
+            desc = labels[hold][1]
             if tok[1] not in desc.params.labels:
                 raise MalformedWorld(f"label {tok[1]!r} outside the alphabet")
             stamp = SimLabel(tok[1], desc)
-            a3 = ports.get((M, 3))
-            if a3 is not None and labels[a3[0]] != PLACEHOLDER:
+            if v3 is not None and labels[v3] != PLACEHOLDER:
                 raise MalformedWorld("word tries to relabel a finished vertex")
-            consume(head)
-            if a3 is not None:
-                table.relabel(a3[0], stamp)
+            consume()
+            if v3 is not None:
+                table.relabel(v3, stamp)
                 return moved("read-back")
             rid = f"n{w.fresh}"
             table.add_vertex(rid, stamp)
@@ -440,38 +441,33 @@ def machine_step(w: MachineWorld) -> MachineWorld:
         if phase == "read-back":
             if head is None:
                 raise MalformedWorld("tape ended inside a word")
-            tok = token_at(head)
             if tok == ";":
-                consume(head)
+                consume()
                 return moved("read-path")
             if is_pair(tok):
-                consume(head)
-                table.relabel("buf", ("buf", tok))
+                consume()
+                table.relabel(buf, ("buf", tok))
                 return moved("back-pending")
             raise MalformedWorld(f"expected a backedge or ';', found {tok!r}")
 
         if phase == "back-pending":
-            a3 = ports.get((M, 3))
-            top = ports.get((M, 5))
-            if a3 is None or top is None:
+            if v3 is None or top is None:
                 raise MalformedWorld("backedge with nothing built yet")
-            table.add_edge((M, 4), (a3[0], h2))
-            table.add_edge((M, 6), (top[0], 3))
+            table.add_edge((M, 4), (v3, h2))
+            table.add_edge((M, 6), (top, 3))
             return moved("back-count")
 
         if phase == "back-count":
             if head is None:
                 raise MalformedWorld("tape ended inside a backedge")
-            tok = token_at(head)
             if tok == "|":
-                consume(head)
+                consume()
                 return moved("walk-seg")
             if tok == ";" or is_pair(tok):
                 return moved("place-back")
             raise MalformedWorld(f"expected bars, a pair or ';', found {tok!r}")
 
         if phase == "walk-seg":
-            reader = ports.get((M, 6))[0]
             below = ports.get((reader, 2))
             if below is None:
                 raise MalformedWorld("backtrack walks below the first vertex")
@@ -481,7 +477,6 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             if payload == "MARK":
                 return moved("back-count")
             s, t = payload
-            v4 = ports.get((M, 4))[0]
             hit = ports.get((v4, t))
             if hit is None or hit[1] != s:
                 raise MalformedWorld("stack pair does not match the built graph")
@@ -489,13 +484,10 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             return moved("walk-seg")
 
         if phase == "place-back":
-            pair = labels["buf"][1]
+            pair = labels[buf][1]
             if pair is None:
                 raise MalformedWorld("no pair buffered for the backedge")
             i, j = pair
-            v3 = ports.get((M, 3))[0]
-            v4 = ports.get((M, 4))[0]
-            reader = ports.get((M, 6))[0]
             if not (1 <= i <= d and 1 <= j <= d):
                 raise MalformedWorld(f"backedge uses port outside 1..{d}")
             if v3 == v4 and i == j:
@@ -505,23 +497,21 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             table.del_edge((M, 4), (v4, h2))
             table.del_edge((M, 6), (reader, 3))
             table.add_edge((v3, i), (v4, j))
-            table.relabel("buf", ("buf", None))
+            table.relabel(buf, ("buf", None))
             return moved("read-back")
 
         if phase == "read-path":
             if head is None:
                 return moved("finish")
-            tok = token_at(head)
             if not is_pair(tok):
                 raise MalformedWorld(f"expected a path pair or the tape's end, found {tok!r}")
-            consume(head)
+            consume()
             return moved("extend", tok)
 
         if phase == "extend":
             s, t = arg
             if not (1 <= s <= d and 1 <= t <= d):
                 raise MalformedWorld(f"path pair uses port outside 1..{d}")
-            v3 = ports.get((M, 3))[0]
             hit = ports.get((v3, s))
             if hit is not None:
                 y, t2 = hit
@@ -538,18 +528,17 @@ def machine_step(w: MachineWorld) -> MachineWorld:
             return moved("read-sep", fresh=w.fresh + 3)
 
         if phase == "finish":
-            top = ports.get((M, 5))
             if top is not None:
-                below = ports.get((top[0], 2))
-                table.del_vertex(top[0])
+                below = ports.get((top, 2))
+                table.del_vertex(top)
                 if below:
                     table.add_edge((M, 5), below)
-            elif ports.get((M, 7)) is not None:
-                table.del_vertex("buf")
-            elif ports.get((M, 2)) is not None:
-                table.del_vertex("hold")
-            elif ports.get((M, 3)) is not None:
-                table.del_edge((M, 3), ports[M, 3])
+            elif buf is not None:
+                table.del_vertex(buf)
+            elif hold is not None:
+                table.del_vertex(hold)
+            elif v3 is not None:
+                table.del_edge((M, 3), (v3, h1))
             else:
                 table.del_vertex(M)
                 return w._hand_on(MachineWorld(None, w.root, d, w.fresh,

@@ -448,6 +448,12 @@ def validate_local_rule(f: LocalRule, *, exhaustive=False, samples=1000,
     eccentricity at most r + 1; if not, ``samples`` random ambients are
     drawn (RuleError if fewer than one), or ``exhaustive=True`` raises
     BudgetExceeded.  Sampling is no proof, but wrong rules rarely survive it.
+
+    In exhaustive mode every near ambient is also a far one, and the far
+    check already compares the vertices at distance 1, so each near
+    ambient is checked twice: ``checked`` counts it twice and a near
+    witness is reported twice.  identity(2, {0}) reads 6,096 checked
+    cases, 6,016 far and 80 near.
     """
     from .codec import BudgetExceeded, enumerate_disks
 

@@ -61,6 +61,16 @@ def test_decode_round_trips_a_code_file(tmp_path, capsys):
     assert out.splitlines() == [FIG4, "|V|=4 |E|=5"]
 
 
+def test_a_code_on_standard_input_is_read(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"ports=3 labels=0,1\n{FIG4}\n"))
+    code, out, _ = run_cli("encode", "-", capsys=capsys)
+    assert code == 0
+    assert out.splitlines() == ["ports=3 labels=0,1", FIG4]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ports=2 labels=0\n\n"))
+    code, _, err = run_cli("decode", "-", capsys=capsys)
+    assert (code, err) == (2, "error: record stops mid-word (token 0)\n")
+
+
 @pytest.mark.parametrize("labels", ["0,,1", ",", "0,"])
 def test_an_empty_label_in_a_header_is_a_one_line_error(tmp_path, capsys, labels):
     graph = tmp_path / "g.graph"

@@ -29,6 +29,7 @@ from cgd.codec import (
     rank_image,
     read_code,
     read_rule,
+    render_tokens,
     unrank_image,
     write_code,
     write_rule,
@@ -88,6 +89,16 @@ def test_an_alphabet_that_repeats_a_label_is_refused_both_ways():
         read_code(f"ports={x.degree} labels=0,0\n{encode_graph(x).text}\n")
     assert type(wrote.value) is type(read.value) is ParseError
     assert str(wrote.value) == str(read.value) == "alphabet repeats a label"
+
+
+def test_encoding_refuses_a_token_or_label_it_cannot_write():
+    with pytest.raises(ParseError) as info:
+        render_tokens(("x",), (0,))
+    assert (type(info.value), str(info.value)) == (ParseError, "unrenderable token 'x'")
+    with pytest.raises(ParseError) as info:
+        encode_graph(cycle_graph(3), alphabet=[])
+    assert (type(info.value), str(info.value)) == (ParseError,
+                                                   "graph label missing from the alphabet")
 
 
 @pytest.mark.parametrize("degree,size,alphabet", [
@@ -515,6 +526,7 @@ RULE_HEADER = "ports=2 labels=0,1 radius=1 bound=3 suffixes=3"
     (f"{RULE_HEADER}\nentries=1 2\n", "expected a registry= or catalog= line"),
     (f"{RULE_HEADER}\ncatalog=00\n1 x -\n", "a rule entry is neither '-' nor a rank "
      "(invalid literal for int() with base 10: 'x')"),
+    ("ports=2 labels=0,0 radius=1 bound=3\ncatalog=00\n1\n", "alphabet repeats a label"),
 ])
 def test_rule_files_are_refused_with_their_reason(text, message):
     with pytest.raises(ParseError) as info:
@@ -546,6 +558,46 @@ def test_decode_guards():
         RuleDescription(desc.params)
     with pytest.raises(RuleError):
         RuleDescription(desc.params, entries=(), registry_key="xor")
+
+
+def test_a_dense_description_carries_its_catalog_hash():
+    desc = encode_rule(identity_rule(1, (0,)))
+    with pytest.raises(RuleError) as info:
+        RuleDescription(desc.params, entries=desc.entries)
+    assert str(info.value) == "a dense description needs the hash of its disk catalog"
+    back = read_rule(write_rule(desc))
+    assert back.catalog_hash == desc.catalog_hash
+    assert decode_rule(back).params == desc.params
+
+
+def test_a_description_with_an_entry_past_its_catalog_is_refused():
+    desc = encode_rule(xor_label_rule(2))
+    long = RuleDescription(desc.params, entries=desc.entries + (None,),
+                           catalog_hash=desc.catalog_hash)
+    with pytest.raises(RuleError) as info:
+        decode_rule(long)
+    assert (type(info.value), str(info.value)) == (RuleError,
+                                                   "1565 entries for 1564 catalog disks")
+
+
+def test_a_hole_raised_by_a_name_set_rule_is_a_hole_entry():
+    p = RuleParams(1, (0,), radius=0, bound=1)
+
+    def refuses(d):
+        raise PartialRuleHole(None, d)
+
+    assert encode_rule(LocalRule(p, fn=refuses)).entries == (None,)
+
+
+def test_holes_in_a_description_re_encode_as_holes():
+    desc = encode_rule(xor_label_rule(2))
+    entries = list(desc.entries)
+    entries[0] = entries[-1] = None
+    text = write_rule(RuleDescription(desc.params, entries=entries,
+                                      catalog_hash=desc.catalog_hash))
+    holed = read_rule(text)
+    assert holed.entries.count(None) == 2
+    assert encode_rule(decode_rule(holed)) == holed  # an ids rule's hole is None
 
 
 def test_holes_survive_the_description():

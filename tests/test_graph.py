@@ -149,6 +149,13 @@ def test_canonical_form_invariant_under_renaming():
                                                      names[root])
 
 
+def test_canonicalize_refuses_a_pointer_off_the_graph():
+    with pytest.raises(GraphError) as info:
+        canonicalize(cycle_graph(3), ((9, 9),))
+    assert (type(info.value), str(info.value)) == (GraphError,
+                                                   "pointer ((9, 9),) is not a vertex")
+
+
 def test_canonicalize_is_identity_on_canonical_input():
     x = grid_graph(3, 2)
     assert canonicalize(x, EPSILON) is x
@@ -294,6 +301,13 @@ def test_distance_zero_iff_equal():
     x = grid_graph(3, 3)
     assert distance(x, grid_graph(3, 3)).is_zero
     assert not distance(x, grid_graph(3, 4)).is_zero
+
+
+def test_distance_refuses_graphs_of_two_port_counts():
+    with pytest.raises(GraphError) as info:
+        distance(cycle_graph(3), sample_graph())
+    assert (type(info.value), str(info.value)) == (GraphError,
+                                                   "graphs must share the same port count")
 
 
 def test_distance_values_and_symmetry():

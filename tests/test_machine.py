@@ -27,6 +27,7 @@ from cgd.machine import (
     SimLabel,
     build_machine_world,
     check_intrinsic_simulation,
+    finished_graph,
     label_with,
     machine_step,
     run_machine,
@@ -72,6 +73,14 @@ def test_sim_labels_split_by_description():
     b = SimLabel(0, IDD3)
     assert a != b and a == SimLabel(0, IDD2)
     assert len({a, b, SimLabel(1, IDD2)}) == 3
+
+
+def test_a_stamped_graph_needs_an_alphabet_to_be_encoded():
+    with pytest.raises(ParseError) as info:
+        encode_graph(label_with(cycle_graph(3), IDD2))
+    assert (type(info.value), str(info.value)) == (
+        ParseError, "graph labels are not all ints: pass an alphabet, "
+                    "or unstamp the graph first")
 
 
 # --- the universal rule -------------------------------------------------------
@@ -473,6 +482,12 @@ def test_step_after_the_end_is_refused():
         machine_step(w)
 
 
+def test_a_world_at_work_has_no_finished_graph():
+    with pytest.raises(MalformedWorld) as info:
+        finished_graph(build_machine_world(code_for(path_graph(1)), IDD2))
+    assert str(info.value) == "the machine is still at work"
+
+
 # --- every step stays within reach 2 of the machine ---------------------------
 
 
@@ -514,12 +529,22 @@ L0 = ("lbl", 0)
     ("$", L0, (1, 2)),    # tape ends inside a backedge
     ("$", L0, (1, 2), "$"),   # a backedge followed by neither bars, a pair nor ';'
     ("$", L0, (1, 3), ";"),   # a backedge to a port past the port count
+    (),                   # an empty tape
 ])
 def test_malformed_tapes_are_refused(tape):
     with pytest.raises(ParseError):
         decode_graph(bad_code(tape))
     with pytest.raises(MalformedWorld):
         run_machine(build_machine_world(bad_code(tape), IDD2))
+
+
+def test_an_empty_tape_builds_nothing():
+    with pytest.raises(ParseError) as info:
+        decode_graph(bad_code(()))
+    assert str(info.value) == "record stops mid-word (token 0)"
+    with pytest.raises(MalformedWorld) as info:
+        run_machine(build_machine_world(bad_code(()), IDD2))
+    assert str(info.value) == "the machine built nothing"
 
 
 def test_the_machine_reads_every_code_as_the_decoder_does():

@@ -152,6 +152,25 @@ def test_check_template_raises_as_the_matching_image(case):
     assert isinstance(info.value, (RuleError, GraphError))
 
 
+@pytest.mark.parametrize("template, message", [
+    ((((0, 0),), (), (0, 0), ()), "template has 2 labels for 1 vertices"),
+    ((((0, 0),), ((4, 1, 0),), (0,), ()), "template pair (1, 0) joins no vertex (4)"),
+])
+def test_check_template_refuses_a_template_no_image_has(template, message):
+    with pytest.raises(RuleError) as info:
+        check_template(TEMPLATE_PARAMS, 2, template)
+    assert (type(info.value), str(info.value)) == (RuleError, message)
+
+
+@pytest.mark.parametrize("given", [{}, {"fn": lambda d: None, "ids": lambda nbr, lab: None}],
+                         ids=["neither", "both"])
+def test_a_rule_takes_one_of_fn_and_ids(given):
+    with pytest.raises(RuleError) as info:
+        LocalRule(TEMPLATE_PARAMS, **given)
+    assert (type(info.value), str(info.value)) == (
+        RuleError, "a rule is given by an ids function or a name-set fn, not both or neither")
+
+
 def test_check_template_takes_what_image_template_gives():
     p, key = TEMPLATE_PARAMS, TEMPLATE_KEY
     good = _named(_A, _ns((_W, 0), (_W, 1)), edges=[((_A, 2), (_A, 1))], labels=[1, 0])()
